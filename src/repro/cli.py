@@ -103,6 +103,7 @@ from repro.experiments.scenarios import SCHEDULER_NAMES
 from repro.faults.plan import FAULT_PRESETS, fault_preset
 from repro.metrics.report import format_table, improvement_pct
 from repro.workloads.suites import NPB_PROFILES, profile_names
+from repro.xen.simulator import ENGINES
 
 __all__ = ["main", "build_parser"]
 
@@ -141,25 +142,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cmp_p.add_argument(
         "--engine",
-        default="stacked",
-        choices=["stacked", "batched", "vector", "reference"],
-        help="simulator engine (results are bitwise-identical across all "
-        "of them; 'stacked' advances the scheduler grid through one "
-        "shared lane kernel)",
+        default="batched",
+        choices=list(ENGINES),
+        help="simulator engine (results are bitwise-identical across all three)",
     )
     cmp_p.add_argument(
         "--jobs",
         type=int,
         default=1,
         help="worker processes (one scheduler run per cell; 1 = serial)",
-    )
-    cmp_p.add_argument(
-        "--stack-lanes",
-        type=int,
-        default=None,
-        metavar="N",
-        help="lane cap per stacked dispatch unit (default 16; 1 disables "
-        "lane stacking)",
     )
     cmp_p.add_argument(
         "--json",
@@ -193,9 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace_p.add_argument(
         "--engine",
         default="batched",
-        choices=["batched", "vector", "reference", "stacked"],
-        help="simulator engine (traces are byte-identical across all of "
-        "them; a solo 'stacked' run is the batched engine)",
+        choices=list(ENGINES),
+        help="simulator engine (traces are byte-identical across all three)",
     )
     trace_p.add_argument(
         "--faults",
@@ -314,14 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PREFIX",
         help="run only jobs whose name starts with PREFIX (repeatable)",
     )
-    rep_p.add_argument(
-        "--stack-lanes",
-        type=int,
-        default=None,
-        metavar="N",
-        help="lane cap per stacked dispatch unit (default 16; 1 disables "
-        "lane stacking)",
-    )
     _add_cache_flags(rep_p)
 
     bench_p = sub.add_parser(
@@ -331,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument(
         "--suite",
         nargs="+",
-        default=["engine", "grid", "stacked", "profiler", "audit"],
-        choices=["engine", "grid", "stacked", "profiler", "audit"],
+        default=["engine", "grid", "profiler", "audit"],
+        choices=["engine", "grid", "profiler", "audit"],
         help="which benchmark suites to run (default: all of them)",
     )
 
@@ -398,22 +380,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     from repro.cache.store import resolve_cache
 
     cache = resolve_cache(args.cache_dir, args.no_cache)
-    if args.jobs > 1 or cache is not None or args.engine == "stacked":
-        from repro.experiments.parallel import (
-            DEFAULT_STACK_LANES,
-            ParallelRunner,
-        )
+    if args.jobs > 1 or cache is not None:
+        from repro.experiments.parallel import ParallelRunner
 
-        runner = ParallelRunner(
-            max(1, args.jobs),
-            cache=cache,
-            engine=args.engine,
-            stack_lanes=(
-                args.stack_lanes
-                if args.stack_lanes is not None
-                else DEFAULT_STACK_LANES
-            ),
-        )
+        runner = ParallelRunner(max(1, args.jobs), cache=cache)
         results = runner.compare(builder, cfg, args.schedulers)
         cache_hits, cache_misses = runner.cache_hits, runner.cache_misses
         retried = list(runner.retried_cells)
@@ -674,7 +644,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 resume=args.resume,
                 deadline=deadline,
                 shutdown=shutdown,
-                stack_lanes=args.stack_lanes,
             )
     except ShutdownRequested as exc:
         print(
@@ -692,7 +661,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     record in place, so a successful run leaves the committed numbers
     refreshed: ``engine`` covers the reference/vector/batched per-epoch
     and cold-run comparison, ``grid`` the cache-aware report dispatch,
-    ``stacked`` the lane-scaling curve of the stacked grid engine,
     ``profiler`` the always-on profiling overhead guard, ``audit`` the
     runtime-invariant and differential-fuzz overhead record.
     """

@@ -212,12 +212,7 @@ def run_grid(
     names = tuple(schedulers) if schedulers is not None else SCHEDULER_NAMES
     cells: Dict[Tuple[str, str], ComparisonCell] = {}
     if runner is None:
-        # Stacked dispatch by default: every (workload, scheduler) row
-        # of the figure advances through one shared lane kernel.  The
-        # engines are bitwise-identical, so this is a dispatch-shape
-        # choice only — summaries, cache keys and report bytes match
-        # the per-cell batched path exactly.
-        runner = ParallelRunner(jobs, cache=cache, engine="stacked")
+        runner = ParallelRunner(jobs, cache=cache)
     flat = [(p.builder, sched, config) for p in points for sched in names]
     summaries = runner.run_cells(flat)
     if any(s is None for s in summaries):

@@ -67,24 +67,6 @@ naming them (keyed by cell name *and grid index*, so two lambdas that
 render identically cannot silently merge).  Retried cells are recorded
 in :attr:`ParallelRunner.retried_cells` so a flaky pool never passes
 silently.
-
-**Lane stacking.**  With ``engine="stacked"``, the runner partitions
-each grid's misses into *stacks* of compatible cells — same builder
-identity and same result-defining config apart from the seed (the
-scheduler may differ; it is part of the cell, not the stack signature)
-— and dispatches each stack as one unit through
-:func:`repro.xen.stacked.run_stacked`, which advances all lanes
-through one shared lanes×slots kernel.  Every lane's summary is
-bitwise what its solo batched run produces (the repo's engine-parity
-contract), so cache keys, journal records and report bytes are
-unchanged; only dispatch shape differs.  Accounting stays *per lane*:
-a lane that raises :class:`~repro.xen.simulator.SimulationTimeout` is
-quarantined alone, a lane that crashes is retried solo (its stack-mates'
-results land first), and a stack that overruns its pooled wall-clock
-budget (``deadline_s`` × lanes) falls back to per-cell dispatch where
-each cell gets the ordinary strike discipline.  Cells left over after
-planning (singleton groups, incompatible shapes) take the historical
-per-cell path.
 """
 
 from __future__ import annotations
@@ -119,12 +101,8 @@ from repro.experiments.runner import (
     aggregate_mean_stats,
     execute_cell,
 )
-from repro.experiments.scenarios import (
-    SCHEDULER_NAMES,
-    ScenarioConfig,
-    make_scheduler,
-)
-from repro.metrics.collectors import RunSummary, summarize
+from repro.experiments.scenarios import SCHEDULER_NAMES, ScenarioConfig
+from repro.metrics.collectors import RunSummary
 from repro.recovery.deadline import (
     CellDeadlineExceeded,
     DeadlinePolicy,
@@ -132,23 +110,18 @@ from repro.recovery.deadline import (
     alarm_guard,
     run_cell_batch_guarded,
 )
-from repro.xen.simulator import SimulationTimeout
+from repro.xen.simulator import ENGINES, SimulationTimeout
 
 __all__ = [
     "ParallelRunner",
     "ParallelExecutionError",
     "GridIncompleteError",
     "default_jobs",
-    "run_stacked_batch_guarded",
     "run_packed_batch_guarded",
 ]
 
 #: One grid cell: (builder, scheduler name, config).
 Cell = Tuple[ScenarioBuilder, str, ScenarioConfig]
-
-#: Default lane cap per stack with ``engine="stacked"`` — matches the
-#: lane-scaling knee recorded in ``benchmarks/BENCH_stacked.json``.
-DEFAULT_STACK_LANES = 16
 
 #: Distinguishes "not memoized yet" from a memoized ``None``.
 _UNSET = object()
@@ -210,55 +183,6 @@ def run_cell_batch(cells: Sequence[Cell]) -> List[RunSummary]:
     variant remains the raise-on-error building block.
     """
     return [execute_cell(b, s, c) for b, s, c in cells]
-
-
-def _build_lane_machine(cell: Cell):
-    """Materialize one cell into a ready-to-run machine (lane)."""
-    builder, scheduler, cfg = cell
-    return builder(make_scheduler(scheduler), cfg)
-
-
-def run_stacked_batch_guarded(
-    cells: Sequence[Cell], deadline_s: Optional[float] = None
-) -> List[Tuple[str, object]]:
-    """Worker entry: run one stack of lanes, reporting per-lane outcomes.
-
-    Module-level, picklable and cache-blind like
-    :func:`~repro.recovery.deadline.run_cell_batch_guarded`, and with
-    the same outcome protocol — ``("ok", summary)``, ``("timeout",
-    (type, detail))`` or ``("error", (type, detail))`` per cell — so
-    the parent's result handling is dispatch-shape agnostic.  The
-    wall-clock budget is pooled (``deadline_s`` × lanes: the lanes run
-    concurrently through one kernel, so no single lane owns the
-    clock); if it fires, every lane reports a deadline timeout and the
-    parent re-dispatches them per-cell under the ordinary per-cell
-    alarm, which restores exact per-lane deadline accounting.
-    """
-    from repro.xen.stacked import run_stacked
-
-    budget = None if deadline_s is None else deadline_s * len(cells)
-    try:
-        with alarm_guard(budget):
-            lanes = run_stacked([_build_lane_machine(c) for c in cells])
-    except CellDeadlineExceeded as exc:
-        payload = ("CellDeadlineExceeded", f"stack of {len(cells)} lanes: {exc}")
-        return [("timeout", payload) for _ in cells]
-    except Exception as exc:
-        # Stack-level failure before any lane ran (e.g. a builder
-        # crash): every cell takes the crash-retry path.
-        payload = (type(exc).__name__, str(exc))
-        return [("error", payload) for _ in cells]
-    outcomes: List[Tuple[str, object]] = []
-    for lane in lanes:
-        if lane.ok:
-            outcomes.append(("ok", summarize(lane.result.machine)))
-        elif isinstance(lane.error, SimulationTimeout):
-            outcomes.append(("timeout", ("SimulationTimeout", str(lane.error))))
-        else:
-            outcomes.append(
-                ("error", (type(lane.error).__name__, str(lane.error)))
-            )
-    return outcomes
 
 
 def run_packed_batch_guarded(
@@ -354,20 +278,15 @@ class ParallelRunner:
         picks :func:`_auto_chunksize`; ``1`` forces the historical
         one-future-per-cell dispatch.
     engine:
-        Optional engine selector (``"batched"``, ``"vector"``,
-        ``"reference"`` or ``"stacked"``).  When set, every dispatched
-        cell's config is rewritten to run on that engine — the
-        selector travels inside the pickled :class:`ScenarioConfig`,
-        so workers need no extra plumbing.  ``None`` (default)
-        respects each cell's own config.  ``"stacked"`` additionally
-        changes the *dispatch shape*: compatible misses are grouped
-        into lane stacks (see :meth:`_plan_stacks`) and advanced
-        through one shared kernel per stack.  Because the engines are
-        bitwise-identical, the selector can never change results, only
-        wall time (``tests/test_parallel.py`` pins this).
-    stack_lanes:
-        Lane cap per stack when ``engine="stacked"``
-        (default :data:`DEFAULT_STACK_LANES`); ignored otherwise.
+        Optional engine selector (one of
+        :data:`~repro.xen.simulator.ENGINES`).  When set, every
+        dispatched cell's config is rewritten to run on that engine —
+        the selector travels inside the pickled
+        :class:`ScenarioConfig`, so workers need no extra plumbing.
+        ``None`` (default) respects each cell's own config.  Because
+        the engines are bitwise-identical, the selector can never
+        change results, only wall time (``tests/test_parallel.py``
+        pins this).
     journal:
         Optional :class:`~repro.recovery.journal.GridJournal`.
         Journaled cells resolve without recomputation (counted in
@@ -399,29 +318,20 @@ class ParallelRunner:
         deadline: "DeadlinePolicy | float | None" = None,
         shutdown: Optional["GracefulShutdown"] = None,
         checkpoint_dir: "pathlib.Path | str | None" = None,
-        stack_lanes: int = DEFAULT_STACK_LANES,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         if chunksize is not None and chunksize < 1:
             raise ValueError(f"chunksize must be >= 1, got {chunksize}")
-        if engine is not None and engine not in (
-            "batched",
-            "vector",
-            "reference",
-            "stacked",
-        ):
+        if engine is not None and engine not in ENGINES:
             raise ValueError(
-                "engine must be 'batched', 'vector', 'reference', "
-                f"'stacked' or None, got {engine!r}"
+                "engine must be 'batched', 'vector', 'reference' or None, "
+                f"got {engine!r}"
             )
-        if stack_lanes < 1:
-            raise ValueError(f"stack_lanes must be >= 1, got {stack_lanes}")
         self.jobs = jobs
         self.cache = cache
         self.chunksize = chunksize
         self.engine = engine
-        self.stack_lanes = stack_lanes
         self.journal = journal
         self.deadline = DeadlinePolicy.coerce(deadline)
         self.shutdown = shutdown
@@ -437,9 +347,6 @@ class ParallelRunner:
         #: cells quarantined (or already quarantined in the journal)
         #: during the latest :meth:`run_cells` call
         self.quarantined: List[Quarantine] = []
-        #: lane stacks (lists of grid indices) the latest
-        #: :meth:`run_cells` call dispatched (empty off the stacked path)
-        self.stacks: List[List[int]] = []
         #: per-run_cells memos: builder fingerprints keyed by object
         #: identity (one hash per distinct builder per grid — not one
         #: per cell) and full cache keys keyed by (fingerprint,
@@ -622,7 +529,6 @@ class ParallelRunner:
         self.cache_misses = 0
         self.journal_hits = 0
         self.quarantined = []
-        self.stacks = []
         self._fid_memo = {}
         self._key_memo = {}
         if self.engine is not None:
@@ -633,22 +539,14 @@ class ParallelRunner:
         results: List[Optional[RunSummary]] = [None] * len(cells)
         try:
             keys, misses = self._lookup(cells, results)
-            if self.engine == "stacked" and len(misses) > 1:
-                self.stacks, misses = self._plan_stacks(cells, misses)
-            if misses or self.stacks:
-                if self.jobs <= 1 or len(misses) + len(self.stacks) <= 1:
-                    for stack in self.stacks:
-                        self._check_shutdown()
-                        self._attempt_stack(stack, cells, keys, results)
-                    for index in misses:
-                        self._check_shutdown()
-                        summary = self._attempt_cell(index, cells[index], keys[index])
-                        if summary is not None:
-                            self._finish(
-                                index, cells[index], keys[index], summary, results
-                            )
-                else:
-                    self._run_parallel(cells, keys, misses, results, self.stacks)
+            if self.jobs <= 1 or len(misses) <= 1:
+                for index in misses:
+                    self._check_shutdown()
+                    summary = self._attempt_cell(index, cells[index], keys[index])
+                    if summary is not None:
+                        self._finish(index, cells[index], keys[index], summary, results)
+            else:
+                self._run_parallel(cells, keys, misses, results)
         finally:
             self.total_cache_hits += self.cache_hits
             self.total_cache_misses += self.cache_misses
@@ -727,124 +625,6 @@ class ParallelRunner:
                 time.sleep(policy.backoff_s(strikes))
                 self._check_shutdown()
 
-    # ------------------------------------------------------------------
-    # Lane stacking
-    # ------------------------------------------------------------------
-    def _plan_stacks(
-        self, cells: Sequence[Cell], misses: List[int]
-    ) -> Tuple[List[List[int]], List[int]]:
-        """Partition miss indices into lane stacks plus leftovers.
-
-        Two cells are stack-compatible when they share a builder
-        identity (fingerprint when provable, object identity otherwise
-        — an anonymous builder can still stack against itself) and the
-        same result-defining config apart from the seed.  The
-        scheduler deliberately stays *out* of the signature: lanes of
-        one stack may run different policies, which is what lets a
-        ``compare``/``compare_mean`` grid stack its whole scheduler ×
-        seed product.  Groups are cut into stacks of at most
-        :attr:`stack_lanes` in grid order; singleton cuts fall back to
-        the per-cell path (a one-lane stack only adds kernel framing).
-        """
-        from repro.obs.manifest import config_hash, fault_fingerprint
-
-        cfg_parts: Dict[int, Tuple] = {}
-        groups: Dict[Tuple, List[int]] = {}
-        for index in misses:
-            builder, _scheduler, cfg = cells[index]
-            part = cfg_parts.get(id(cfg))
-            if part is None:
-                seedless = dataclasses.replace(cfg, seed=0, label="")
-                part = (
-                    cfg.work_scale,
-                    config_hash(seedless.sim_config()),
-                    fault_fingerprint(cfg.faults),
-                )
-                cfg_parts[id(cfg)] = part
-            fid = self._builder_fid(builder)
-            sig = (fid if fid is not None else id(builder), *part)
-            groups.setdefault(sig, []).append(index)
-        stacks: List[List[int]] = []
-        leftovers: List[int] = []
-        for indices in groups.values():
-            for start in range(0, len(indices), self.stack_lanes):
-                stack = indices[start : start + self.stack_lanes]
-                if len(stack) >= 2:
-                    stacks.append(stack)
-                else:
-                    leftovers.extend(stack)
-        leftovers.sort()
-        return stacks, leftovers
-
-    def _attempt_stack(
-        self,
-        stack: Sequence[int],
-        cells: Sequence[Cell],
-        keys: List[Optional[str]],
-        results: List[Optional[RunSummary]],
-    ) -> None:
-        """One in-parent attempt at a whole stack, per-lane accounting.
-
-        Completed lanes land in the result/cache/journal slots exactly
-        as per-cell runs do; a lane's
-        :class:`~repro.xen.simulator.SimulationTimeout` quarantines
-        that lane alone; a lane crash re-raises only after its
-        stack-mates have landed (mirroring the serial per-cell contract
-        where non-timeout errors are fatal).  An overrun of the pooled
-        wall-clock budget (``deadline_s`` × lanes) falls back to
-        per-cell attempts carrying one prior strike each — innocent
-        lanes simply complete inside their own per-cell alarm, the
-        offender strikes out on the ordinary schedule.
-        """
-        from repro.xen.stacked import run_stacked
-
-        deadline_s = self.deadline.deadline_s if self.deadline is not None else None
-        budget = None if deadline_s is None else deadline_s * len(stack)
-        machines = [_build_lane_machine(cells[i]) for i in stack]
-        stop = self.shutdown.is_requested if self.shutdown is not None else None
-        checks = [stop] * len(stack) if stop is not None else None
-        try:
-            if self.shutdown is not None:
-                # Deferred like the serial per-cell path: a signal sets
-                # the flag, every live lane stops at its next epoch
-                # boundary, finished lanes still land below.
-                with self.shutdown.deferred():
-                    with alarm_guard(budget):
-                        lanes = run_stacked(machines, stop_checks=checks)
-            else:
-                with alarm_guard(budget):
-                    lanes = run_stacked(machines, stop_checks=checks)
-        except CellDeadlineExceeded:
-            for index in stack:
-                self._check_shutdown()
-                summary = self._attempt_cell(
-                    index, cells[index], keys[index], prior_strikes=1
-                )
-                if summary is not None:
-                    self._finish(index, cells[index], keys[index], summary, results)
-            return
-        first_error: Optional[BaseException] = None
-        for index, lane in zip(stack, lanes):
-            if lane.ok:
-                if lane.result.interrupted:
-                    continue  # stopped mid-run; a resume recomputes it
-                self._finish(
-                    index,
-                    cells[index],
-                    keys[index],
-                    summarize(lane.result.machine),
-                    results,
-                )
-            elif isinstance(lane.error, SimulationTimeout):
-                self._quarantine(
-                    index, cells[index], keys[index], "sim_timeout", 1, str(lane.error)
-                )
-            elif first_error is None:
-                first_error = lane.error
-        self._check_shutdown()
-        if first_error is not None:
-            raise first_error
-
     def _pack_chunk(
         self, cells: Sequence[Cell], chunk: Sequence[int]
     ) -> Tuple[List[ScenarioBuilder], List[Tuple[int, str, ScenarioConfig]]]:
@@ -876,55 +656,41 @@ class ParallelRunner:
         keys: List[Optional[str]],
         misses: List[int],
         results: List[Optional[RunSummary]],
-        stacks: Sequence[Sequence[int]] = (),
     ) -> None:
-        """Dispatch chunks and stacks over one pool; fill ``results``.
+        """Dispatch chunks over one pool; fill ``results``.
 
-        Per-cell misses go out as builder-deduplicated chunks
-        (:func:`run_packed_batch_guarded`), lane stacks as whole units
-        (:func:`run_stacked_batch_guarded`); both report the same
-        per-cell outcome protocol, so everything downstream of the
-        futures — quarantine, deadline retries, crash retries — is
-        dispatch-shape agnostic.
+        Misses go out as builder-deduplicated chunks
+        (:func:`run_packed_batch_guarded`) that report per-cell
+        outcomes, so quarantine, deadline retries and crash retries
+        all act on single cells.
         """
-        workers = min(self.jobs, max(1, len(misses) + len(stacks)))
+        workers = min(self.jobs, len(misses))
         size = self.chunksize or _auto_chunksize(len(misses), workers)
-        chunks: List[List[int]] = [
-            misses[i : i + size] for i in range(0, len(misses), size)
-        ]
+        chunks = [misses[i : i + size] for i in range(0, len(misses), size)]
         deadline_s = self.deadline.deadline_s if self.deadline is not None else None
-        tasks: List[Tuple[List[int], object, Tuple]] = []
-        for chunk in chunks:
-            builders, packed = self._pack_chunk(cells, chunk)
-            tasks.append((chunk, run_packed_batch_guarded, (builders, packed, deadline_s)))
-        for stack in stacks:
-            tasks.append(
-                (
-                    list(stack),
-                    run_stacked_batch_guarded,
-                    ([cells[i] for i in stack], deadline_s),
-                )
-            )
         failed: List[int] = []
         timeouts: Dict[int, Tuple[str, str]] = {}
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
             futures: Dict[int, object] = {}
-            for task_id, (indices, fn, args) in enumerate(tasks):
+            for chunk_id, chunk in enumerate(chunks):
+                builders, packed = self._pack_chunk(cells, chunk)
                 try:
-                    futures[task_id] = pool.submit(fn, *args)
+                    futures[chunk_id] = pool.submit(
+                        run_packed_batch_guarded, builders, packed, deadline_s
+                    )
                 except BrokenProcessPool:
                     # The pool died while we were still submitting;
                     # everything not yet submitted goes to the retry.
-                    failed.extend(indices)
-            for task_id, future in futures.items():
-                indices = tasks[task_id][0]
+                    failed.extend(chunk)
+            for chunk_id, future in futures.items():
+                chunk = chunks[chunk_id]
                 try:
                     outcomes = future.result()
                 except Exception:
-                    failed.extend(indices)
+                    failed.extend(chunk)
                 else:
-                    for index, (status, payload) in zip(indices, outcomes):
+                    for index, (status, payload) in zip(chunk, outcomes):
                         if status == "ok":
                             self._finish(index, cells[index], keys[index], payload, results)
                         elif status == "timeout":

@@ -170,7 +170,6 @@ def regenerate_all(
     resume: bool = False,
     deadline: "DeadlinePolicy | float | None" = None,
     shutdown: "Optional[GracefulShutdown]" = None,
-    stack_lanes: Optional[int] = None,
 ) -> Dict[str, int]:
     """Run every experiment; write one .txt and one .json per result.
 
@@ -184,13 +183,6 @@ def regenerate_all(
     ``cache`` serves previously computed cells from disk — the cached
     payload round-trips exactly, so the ``.json`` outputs of a warm run
     are byte-identical to a cold one.
-
-    Grid cells dispatch through the lane-stacked engine by default
-    (``stack_lanes`` caps lanes per stack; ``1`` disables stacking and
-    restores pure per-cell dispatch).  Stacking is a dispatch-shape
-    choice only — per-lane summaries are bitwise the solo batched
-    run's, so cache keys, journal records and output bytes are
-    unaffected.
 
     Recovery behaviour: the run journals every completed cell and job
     to ``<outdir>/journal.jsonl``; ``resume=True`` replays that journal
@@ -212,11 +204,7 @@ def regenerate_all(
     ``resumed_jobs`` and ``quarantined_jobs``.
     """
     from repro.experiments.jsonreport import dump_report
-    from repro.experiments.parallel import (
-        DEFAULT_STACK_LANES,
-        GridIncompleteError,
-        ParallelRunner,
-    )
+    from repro.experiments.parallel import GridIncompleteError, ParallelRunner
     from repro.recovery.journal import GridJournal, JournalCache
 
     outdir.mkdir(parents=True, exist_ok=True)
@@ -228,12 +216,10 @@ def regenerate_all(
         jobs,
         cache=cache,
         chunksize=chunksize,
-        engine="stacked",
         journal=journal,
         deadline=deadline,
         shutdown=shutdown,
         checkpoint_dir=outdir / "checkpoints",
-        stack_lanes=stack_lanes if stack_lanes is not None else DEFAULT_STACK_LANES,
     )
     if resume and (journal.loaded_cells or journal.loaded_jobs):
         print(
@@ -394,14 +380,6 @@ def main(argv: "list[str] | None" = None) -> int:
         metavar="PREFIX",
         help="run only jobs whose name starts with PREFIX (repeatable)",
     )
-    parser.add_argument(
-        "--stack-lanes",
-        type=int,
-        default=None,
-        metavar="N",
-        help="lane cap per stacked dispatch unit (default 16; 1 disables "
-        "lane stacking)",
-    )
     args = parser.parse_args(argv)
     jobs = args.jobs if args.jobs is not None else default_jobs()
     cache = resolve_cache(args.cache_dir, args.no_cache)
@@ -423,7 +401,6 @@ def main(argv: "list[str] | None" = None) -> int:
                 resume=args.resume,
                 deadline=deadline,
                 shutdown=shutdown,
-                stack_lanes=args.stack_lanes,
             )
     except ShutdownRequested as exc:
         print(

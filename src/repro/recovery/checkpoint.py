@@ -28,9 +28,10 @@ truncation or corruption before unpickling a byte.  Writes are atomic
 
 Versioning rule (see DESIGN.md): the pickle payload's layout is an
 implementation detail of one package version, so loading is *strict* —
-any schema, version or ``config_hash`` mismatch raises
-:class:`CheckpointError` instead of risking a silently-wrong resume.
-A stale checkpoint costs a re-run, never a wrong result.
+any schema, version or ``config_hash`` mismatch, or an engine name this
+version does not support, raises :class:`CheckpointError` instead of
+risking a silently-wrong resume.  A stale checkpoint costs a re-run,
+never a wrong result.
 """
 
 from __future__ import annotations
@@ -200,6 +201,7 @@ def load_checkpoint(
     scenario that happens to share a file name.
     """
     from repro.obs.manifest import config_hash
+    from repro.xen.simulator import ENGINES
 
     path = pathlib.Path(path)
     header = inspect_checkpoint(path, verify_payload=False)
@@ -222,6 +224,15 @@ def load_checkpoint(
         raise CheckpointError(
             f"{path}: restored config hashes to a different value than the "
             "header claims (corrupt or tampered snapshot)"
+        )
+    # The engine is outside the hash (results are engine-independent),
+    # and unpickling skips SimConfig's validation: a snapshot naming an
+    # engine this version no longer has would otherwise resume on
+    # whatever path the unknown name falls through to.
+    if machine.config.engine not in ENGINES:
+        raise CheckpointError(
+            f"{path}: snapshot engine {machine.config.engine!r} is not one of "
+            f"{list(ENGINES)} (re-run instead of resuming)"
         )
     return machine
 

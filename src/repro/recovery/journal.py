@@ -20,13 +20,16 @@ Record kinds:
 * ``job`` / ``done`` or ``quarantined`` — a whole report job (one
   figure/table) finished rendering, so resume can skip it outright.
 
-Durability discipline: every append rewrites the journal through
-mkstemp + ``os.replace`` — the same atomic-publish rule as
-:mod:`repro.cache.store` — so the on-disk file is always a complete,
-parseable JSONL document no matter where a crash lands.  Loading is
+Durability discipline: every record is one ``O_APPEND`` write of one
+line, then ``flush`` + ``fsync`` before the call returns, so a record
+that was acknowledged survives a crash.  A crash can at worst leave a
+*torn* last line — a file that does not end in ``\n``.  Loading is
 defensive the same way reads are everywhere else in this codebase: a
 malformed line, wrong schema or wrong package version makes that
-*record* invisible (the cell simply recomputes), never an error.
+*record* invisible (the cell simply recomputes), never an error; and a
+``resume=True`` load truncates a torn tail before the first append, so
+the next record starts on a line of its own instead of being glued to
+the fragment.
 """
 
 from __future__ import annotations
@@ -34,8 +37,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import tempfile
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.cache.serialize import summary_from_payload, summary_to_payload
 from repro.metrics.collectors import RunSummary
@@ -52,7 +54,7 @@ _RECORD_ERRORS = (ValueError, KeyError, TypeError, AttributeError)
 
 
 class GridJournal:
-    """Append-only record of grid outcomes, atomic on every append.
+    """Append-only record of grid outcomes, fsync'd on every append.
 
     Parameters
     ----------
@@ -65,7 +67,6 @@ class GridJournal:
 
     def __init__(self, path: "pathlib.Path | str", resume: bool = False) -> None:
         self.path = pathlib.Path(path)
-        self._records: List[Dict[str, Any]] = []
         self._cells: Dict[str, RunSummary] = {}
         self._quarantines: Dict[str, Dict[str, Any]] = {}
         self._jobs: Dict[str, str] = {}
@@ -88,16 +89,25 @@ class GridJournal:
         from repro import __version__
 
         try:
-            text = self.path.read_text(encoding="utf-8")
+            data = self.path.read_bytes()
         except OSError:
             return
-        for line in text.splitlines():
+        complete = data.rfind(b"\n") + 1
+        if complete < len(data):
+            # Torn tail from a crash mid-append: drop it, so the next
+            # append starts a fresh line.
+            try:
+                with self.path.open("r+b") as fh:
+                    fh.truncate(complete)
+            except OSError:
+                pass
+        for line in data[:complete].decode("utf-8", errors="replace").splitlines():
             if not line.strip():
                 continue
             try:
                 record = json.loads(line)
             except ValueError:
-                continue  # torn or garbage line: invisible
+                continue  # garbage line: invisible
             if (
                 not isinstance(record, dict)
                 or record.get("schema") != JOURNAL_SCHEMA
@@ -108,7 +118,6 @@ class GridJournal:
                 self._absorb(record)
             except _RECORD_ERRORS:
                 continue
-            self._records.append(record)
 
     def _absorb(self, record: Dict[str, Any]) -> None:
         kind = record["kind"]
@@ -133,42 +142,27 @@ class GridJournal:
             raise ValueError(f"unknown record kind {kind!r}")
 
     # ------------------------------------------------------------------
-    # Appending (atomic)
+    # Appending (one line, fsync'd)
     # ------------------------------------------------------------------
     def _append(self, record: Dict[str, Any]) -> None:
-        from repro import __version__
-
-        record = {"schema": JOURNAL_SCHEMA, "version": __version__, **record}
-        self._records.append(record)
-        self._flush()
-
-    def _flush(self) -> None:
-        """Publish the full journal atomically (mkstemp + replace).
+        """Append one record as one line and fsync it.
 
         A journal write failure must never fail the experiment — the
         worst outcome of a lost record is recomputing a cell on resume.
         """
+        from repro import __version__
+
+        record = {"schema": JOURNAL_SCHEMA, "version": __version__, **record}
         try:
-            text = "".join(canonical_dumps(r) + "\n" for r in self._records)
+            line = canonical_dumps(record) + "\n"
         except (TypeError, ValueError):  # pragma: no cover - defensive
             return
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=self.path.parent, prefix=".tmp-", suffix=".jsonl"
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                os.replace(tmp, self.path)
-            except OSError:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            with self.path.open("a", encoding="utf-8") as fh:
+                fh.write(line)
+                fh.flush()
+                os.fsync(fh.fileno())
         except OSError:
             pass
 

@@ -960,16 +960,15 @@ class _FusedState:
     :meth:`BatchedEngine._fused_epochs`) plus the gather/plan handles
     the commit needs.  ``mbusy`` is the one plain-float accumulator —
     the epoch loop reads it into a local and writes the final back.
-    The stacked engine packs these lists into lane-stacked ndarrays
-    and unpacks the finals before commit; everything in between is
-    private to the batch, which is what makes the hand-off bitwise.
+    Everything between seed and commit is private to the batch, so the
+    state is the complete hand-off between the three phases of
+    :meth:`BatchedEngine._advance_replay_fused`.
     """
 
     __slots__ = (
         "gather",
         "plan",
         "k",
-        "kb",
         "running_pcpus",
         "running_vcpus",
         "pend",
@@ -2216,92 +2215,6 @@ class BatchedEngine(VectorEngine):
             scalars,
         )
 
-    def begin_fused_batch(
-        self, now: float, epoch: float, kb: int, kb_max: Optional[int] = None
-    ) -> Optional[tuple]:
-        """Stacked-engine entry: seed a fused batch without running it.
-
-        Mirrors the decision chain :meth:`advance_batch` walks before
-        committing to :meth:`_advance_replay_fused` — short horizon, no
-        fused ticks, no speculation, dual-socket, default contention
-        depth, every PCPU running — and, when all of it holds, performs
-        the gather memoisation and state seeding but **not** the epoch
-        loop.  Returns ``(state, end_batch)``; the caller must then run
-        ``kb`` epochs over ``state`` (via :meth:`_fused_epochs` or a
-        bitwise-equal kernel) and call :meth:`finish_fused_batch`.
-        Returns None when any precondition fails, in which case the
-        caller falls back to :meth:`advance_batch` unchanged — the
-        checks here are a conservative mirror, so a None is always
-        safe.
-
-        ``kb_max`` overrides the solo replay cap: the stacked engine
-        passes a larger bound (and accepts ``kb == 1`` singletons)
-        because batch partitioning is bitwise-neutral — running the
-        replay as one ``kb`` batch, as chunks, or epoch by epoch
-        evolves the same state.  Solo callers keep the default cap.
-        """
-        if kb_max is None:
-            if kb <= 1 or kb > self._REPLAY_MAX:
-                return None
-        elif kb < 1 or kb > kb_max:
-            return None
-        if self._fuse_plan or self._speculative or not self.two_node:
-            return None
-        machine = self.machine
-        if machine.config.contention_iterations != 2:
-            return None
-        running_pcpus = []
-        running_vcpus = []
-        sig_keys = []
-        sig_pids = []
-        for pcpu in machine.pcpus:
-            cur = pcpu.current
-            if cur is None:
-                return None
-            running_pcpus.append(pcpu)
-            running_vcpus.append(cur)
-            sig_keys.append(cur.key)
-            sig_pids.append(pcpu.pcpu_id)
-        k = len(running_vcpus)
-        if k == 0:
-            return None
-
-        # Same gather memoisation as advance_batch.
-        kg = self.key_gen
-        sig_kp = (tuple(sig_keys), tuple(sig_pids))
-        gens = tuple(kg[key] for key in sig_keys)
-        sig = (sig_kp, gens)
-        if sig != self._gather_sig:
-            cache = self._gather_cache
-            entry = cache.get(sig_kp)
-            if entry is None or entry[0] != gens:
-                gather = _Gather(self, running_pcpus, running_vcpus, k)
-                machine.profiler.count("gather_build")
-                if len(cache) >= 1024:
-                    cache.clear()
-                cache[sig_kp] = (gens, gather)
-            else:
-                gather = entry[1]
-            self._gather = gather
-            self._gather_sig = sig
-        else:
-            gather = self._gather
-
-        self._fuse_plan = None
-        self._batch_calls += 1
-        t = now
-        for _ in range(kb):
-            t = t + epoch
-        state = self._fused_seed(gather, running_pcpus, running_vcpus, k)
-        state.kb = kb
-        return state, t
-
-    def finish_fused_batch(
-        self, state: "_FusedState", end_batch: float, epoch: float, kb: int
-    ) -> float:
-        """Commit a batch begun by :meth:`begin_fused_batch`."""
-        return self._fused_commit(state, end_batch, epoch, kb)
-
     def _fused_seed(
         self,
         gather: _Gather,
@@ -2403,9 +2316,10 @@ class BatchedEngine(VectorEngine):
         guarantees no fused tick, no idle PCPU, no speculation and an
         event-free interior).  Dual-socket only.
 
-        Split into seed / epochs / commit phases so the stacked engine
-        (:mod:`repro.xen.stacked`) can interleave many machines' epoch
-        loops; running them back to back here is the solo path.
+        Split into seed / epochs / commit phases: the epoch loop is the
+        pure accumulator evolution over a :class:`_FusedState`, so it
+        can be swapped for a bitwise-equal kernel without touching the
+        seeding or the write-back.
         """
         state = self._fused_seed(gather, running_pcpus, running_vcpus, k)
         self._fused_epochs(state, epoch, kb)
@@ -2419,9 +2333,7 @@ class BatchedEngine(VectorEngine):
         Pure accumulator evolution — every read and write goes through
         ``state``'s lists (shared with the seeded plan), so running the
         loop in chunks (``kb = a`` then ``kb = b``) is bitwise the
-        single ``kb = a + b`` call.  The stacked engine relies on both
-        properties: chunked resumption for lane lockstep, and the state
-        contract for its vectorized kernel.
+        single ``kb = a + b`` call.
         """
         (
             flat_plan,

@@ -40,20 +40,15 @@ class TestParser:
 
     def test_compare_engine_flag(self):
         args = build_parser().parse_args(["compare", "soplex"])
-        assert args.engine == "stacked"
-        assert args.stack_lanes is None
+        assert args.engine == "batched"
         args = build_parser().parse_args(
             ["compare", "soplex", "--engine", "reference"]
         )
         assert args.engine == "reference"
-        args = build_parser().parse_args(
-            ["compare", "soplex", "--stack-lanes", "4"]
-        )
-        assert args.stack_lanes == 4
 
     def test_bench_parses(self):
         args = build_parser().parse_args(["bench"])
-        assert args.suite == ["engine", "grid", "stacked", "profiler", "audit"]
+        assert args.suite == ["engine", "grid", "profiler", "audit"]
         args = build_parser().parse_args(["bench", "--suite", "engine"])
         assert args.suite == ["engine"]
         args = build_parser().parse_args(["bench", "--suite", "audit"])
@@ -110,6 +105,27 @@ class TestCommands:
         # The file round-trips through the validator used by `validate`.
         assert main(["validate", str(out)]) == 0
         assert "ok" in capsys.readouterr().out
+
+    def test_trace_validates_for_every_engine_choice(self, tmp_path, capsys):
+        # Every engine the parser offers must produce a trace that the
+        # schema accepts; a choice the schema does not know is a bug.
+        import argparse
+
+        sub = next(
+            a
+            for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        engine = next(
+            a for a in sub.choices["trace"]._actions if a.dest == "engine"
+        )
+        assert engine.choices
+        for choice in engine.choices:
+            out = tmp_path / f"{choice}.jsonl"
+            argv = ["trace", "lu", "--out", str(out), "--work-scale", "0.02"]
+            assert main([*argv, "--engine", choice]) == 0
+            assert main(["validate", str(out)]) == 0, choice
+        capsys.readouterr()
 
     def test_compare_json_report(self, tmp_path, capsys):
         out = tmp_path / "compare.json"

@@ -19,7 +19,7 @@ import pickle
 import pytest
 
 from repro.experiments import fig9_faults
-from repro.experiments.parallel import ParallelRunner
+from repro.experiments.parallel import ParallelRunner, default_jobs
 from repro.experiments.runner import run_one
 from repro.experiments.scenarios import (
     SCHEDULER_NAMES,
@@ -238,6 +238,7 @@ class TestGracefulDegradation:
             ScenarioConfig(work_scale=0.15, seed=0, sample_period_s=1.0),
             schedulers=("vprobe", "vprobe-h"),
             seeds=6,
+            jobs=default_jobs(),
         )
         for rate in result.rates:
             if rate == 0.0:

@@ -163,6 +163,36 @@ class TestCheckpointFile:
         path = checkpoint_path_for(tmp_path, "abc123")
         assert path == tmp_path / "abc123.ckpt"
 
+    @staticmethod
+    def _retired_engine_snapshot(path):
+        """A valid snapshot whose config names an engine this version
+        does not have (as after an engine is retired).
+
+        The engine is outside ``config_hash``, so such a snapshot still
+        matches its cell's hash; only the engine check can catch it.
+        """
+        machine = run_partially(build_machine())
+        object.__setattr__(machine.config, "engine", "turbo")
+        save_checkpoint(machine, path)
+        return machine
+
+    def test_unsupported_engine_rejected(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        machine = self._retired_engine_snapshot(path)
+        assert read_header(path)["engine"] == "turbo"
+        with pytest.raises(CheckpointError, match="engine 'turbo'"):
+            load_checkpoint(path, expect_config_hash=config_hash(machine.config))
+
+    def test_unsupported_engine_snapshot_rebuilds_cell(self, tmp_path):
+        self._retired_engine_snapshot(checkpoint_path_for(tmp_path, "k"))
+        summary = execute_cell_resumable(BUILDER, "credit", CFG, tmp_path, "k")
+        fresh = execute_cell(BUILDER, "credit", CFG)
+        assert canonical_result(summary) == canonical_result(fresh)
+        # Rebuilt from scratch on the cell's own engine, not resumed on
+        # whatever path the unknown name falls through to.
+        assert summary.horizon_stats == fresh.horizon_stats
+        assert not checkpoint_path_for(tmp_path, "k").exists()
+
 
 # ----------------------------------------------------------------------
 # Resume parity: the tentpole guarantee
@@ -289,6 +319,31 @@ class TestJournal:
         reloaded = GridJournal(path, resume=True)
         assert reloaded.loaded_cells == 1
         assert reloaded.get_cell("k9") is None
+
+    def test_torn_tail_truncated_on_resume(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        journal = GridJournal(path)
+        summary = self.summary()
+        journal.record_cell("k1", "cell#0", summary)
+        journal.record_cell("k2", "cell#1", summary)
+        # A crash mid-append: the last record lost its tail (and its
+        # newline), even though what is left would parse as JSON.
+        data = path.read_bytes()
+        intact = data[: data.rindex(b"\n", 0, len(data) - 1) + 1]
+        path.write_bytes(intact + data[len(intact) : -1])
+        resumed = GridJournal(path, resume=True)
+        assert resumed.loaded_cells == 1
+        assert resumed.get_cell("k1") == summary
+        assert resumed.get_cell("k2") is None
+        assert path.read_bytes() == intact
+        resumed.record_cell("k3", "cell#2", summary)
+        resumed.record_job("fig3")
+        again = GridJournal(path, resume=True)
+        assert again.loaded_cells == 2 and again.loaded_jobs == 1
+        assert again.get_cell("k3") == summary
+        assert again.get_cell("k2") is None
+        assert path.read_bytes().startswith(intact)
+        assert all(json.loads(line) for line in path.read_text().splitlines())
 
     def test_quarantine_roundtrip_and_clear(self, tmp_path):
         path = tmp_path / "journal.jsonl"
