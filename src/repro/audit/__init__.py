@@ -21,6 +21,7 @@ correctness contracts:
 
 from repro.audit.fuzz import (
     ENGINES,
+    NATIVE_OFF,
     DifferentialResult,
     FuzzScenario,
     build_fuzz_machine,
@@ -47,6 +48,7 @@ from repro.audit.shrink import repro_source, shrink
 
 __all__ = [
     "ENGINES",
+    "NATIVE_OFF",
     "INVARIANT_NAMES",
     "AuditFailure",
     "AuditReport",

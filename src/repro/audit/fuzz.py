@@ -35,11 +35,13 @@ from repro.util.rng import RngStreams
 from repro.workloads.appmodel import VcpuWorkload
 from repro.workloads.generators import scaled_profile
 from repro.workloads.suites import get_profile, hungry_loop
+from repro.xen import native
 from repro.xen.domain import Domain
 from repro.xen.memalloc import place_interleaved, place_single_node, place_split
 
 __all__ = [
     "ENGINES",
+    "NATIVE_OFF",
     "FuzzScenario",
     "DifferentialResult",
     "generate_scenario",
@@ -49,6 +51,10 @@ __all__ = [
 
 #: The engine-parity set; the first entry is the diff baseline.
 ENGINES: Tuple[str, ...] = ("reference", "vector", "batched")
+
+#: Name of the native-kernel leg: the batched engine rerun with the
+#: native fused replay switched off (:func:`repro.xen.native.forced_python`).
+NATIVE_OFF = "batched-python"
 
 #: Topologies worth fuzzing: the paper's 2x4 plus smaller/odd shapes
 #: that exercise single-node degenerate paths and >2-node scan orders.
@@ -280,6 +286,12 @@ class DifferentialResult:
     ``"error"`` (a run crashed outright — also a finding).  ``engine``
     names the offender, ``detail`` carries the violation message or the
     first differing region of the summaries.
+
+    ``native_leg`` says whether the batched run was checked against
+    itself with the native fused replay switched off (engine name
+    :data:`NATIVE_OFF`): ``"equal"`` when it was, ``"no-native"`` when
+    the kernel ran no batch (not built, or no fused batch on this
+    topology), ``"off"`` when batched was not among the engines.
     """
 
     scenario: FuzzScenario
@@ -289,6 +301,7 @@ class DifferentialResult:
     detail: str = ""
     checks_run: int = 0
     summaries: Dict[str, str] = field(default_factory=dict, compare=False)
+    native_leg: str = "off"
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable form (summaries omitted: they are large)."""
@@ -299,6 +312,7 @@ class DifferentialResult:
             "engine": self.engine,
             "detail": self.detail,
             "checks_run": self.checks_run,
+            "native_leg": self.native_leg,
         }
 
 
@@ -317,6 +331,36 @@ def _first_difference(a: str, b: str, context: int = 60) -> str:
     )
 
 
+def _audited_run(
+    scenario: FuzzScenario,
+    engine: str,
+    every: int,
+    invariants: Optional[Sequence[str]],
+):
+    """One audited run: ``(machine, checker, None)`` or, when it
+    raised, ``(None, checker, exception)``."""
+    checker = InvariantChecker(enabled=invariants, every=every)
+    try:
+        machine = build_fuzz_machine(scenario, engine)
+        machine.run(audit=checker)
+    except Exception as exc:  # noqa: BLE001 - any crash is a finding
+        return None, checker, exc
+    return machine, checker, None
+
+
+def _failed_run(
+    scenario: FuzzScenario, engine: str, exc: Exception, checks: int
+) -> DifferentialResult:
+    if isinstance(exc, InvariantViolation):
+        kind, detail = "invariant", str(exc)
+    else:
+        kind, detail = "error", f"{type(exc).__name__}: {exc}"
+    return DifferentialResult(
+        scenario, ok=False, kind=kind, engine=engine, detail=detail,
+        checks_run=checks,
+    )
+
+
 def run_differential(
     scenario: FuzzScenario,
     engines: Sequence[str] = ENGINES,
@@ -328,37 +372,23 @@ def run_differential(
     Invariants default to *all* of them at every boundary
     (``every=1``); the summaries are compared in canonical JSON with
     the wall-clock profile excluded (``to_dict(include_profile=False)``
-    is the engine-parity comparison form).
+    is the engine-parity comparison form).  When the batched run's
+    fused replay went through the native kernel, the batched engine is
+    run once more with the kernel switched off (the :data:`NATIVE_OFF`
+    leg) and the two summaries must be equal too.
     """
     texts: Dict[str, str] = {}
     checks = 0
+    native_batches = 0
     for engine in engines:
-        checker = InvariantChecker(enabled=invariants, every=every)
-        try:
-            machine = build_fuzz_machine(scenario, engine)
-            machine.run(audit=checker)
-        except InvariantViolation as exc:
-            return DifferentialResult(
-                scenario,
-                ok=False,
-                kind="invariant",
-                engine=engine,
-                detail=str(exc),
-                checks_run=checks + checker.checks_run,
-            )
-        except Exception as exc:  # noqa: BLE001 - any crash is a finding
-            return DifferentialResult(
-                scenario,
-                ok=False,
-                kind="error",
-                engine=engine,
-                detail=f"{type(exc).__name__}: {exc}",
-                checks_run=checks + checker.checks_run,
-            )
+        machine, checker, exc = _audited_run(scenario, engine, every, invariants)
         checks += checker.checks_run
-        texts[engine] = canonical_dumps(
-            summarize(machine).to_dict(include_profile=False)
-        )
+        if exc is not None:
+            return _failed_run(scenario, engine, exc, checks)
+        summary = summarize(machine)
+        texts[engine] = canonical_dumps(summary.to_dict(include_profile=False))
+        if engine == "batched" and summary.horizon_stats:
+            native_batches = summary.horizon_stats["replay_native"]
 
     base = engines[0]
     for engine in engines[1:]:
@@ -375,6 +405,35 @@ def run_differential(
                 checks_run=checks,
                 summaries=texts,
             )
+
+    leg = "no-native" if "batched" in engines else "off"
+    if native_batches:
+        with native.forced_python():
+            machine, checker, exc = _audited_run(
+                scenario, "batched", every, invariants
+            )
+        checks += checker.checks_run
+        if exc is not None:
+            return _failed_run(scenario, NATIVE_OFF, exc, checks)
+        texts[NATIVE_OFF] = canonical_dumps(
+            summarize(machine).to_dict(include_profile=False)
+        )
+        if texts[NATIVE_OFF] != texts["batched"]:
+            return DifferentialResult(
+                scenario,
+                ok=False,
+                kind="divergence",
+                engine=NATIVE_OFF,
+                detail=(
+                    "batched summary with the native kernel off differs "
+                    "from it on: "
+                    + _first_difference(texts["batched"], texts[NATIVE_OFF])
+                ),
+                checks_run=checks,
+                summaries=texts,
+            )
+        leg = "equal"
     return DifferentialResult(
-        scenario, ok=True, kind="ok", checks_run=checks, summaries=texts
+        scenario, ok=True, kind="ok", checks_run=checks, summaries=texts,
+        native_leg=leg,
     )

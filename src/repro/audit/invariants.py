@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import weakref
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Tuple
 
@@ -355,11 +356,16 @@ class InvariantChecker:
 
     def _check_placement(self, machine: "Machine") -> None:
         self.checks_run += 1
+        # Enum members bound once: the per-VCPU attribute lookups on
+        # VcpuState were half of this check's cost.
+        running = VcpuState.RUNNING
+        runnable = VcpuState.RUNNABLE
+        pcpus = machine.pcpus
         queued: Dict[int, int] = {}
-        for pcpu in machine.pcpus:
+        for pcpu in pcpus:
             cur = pcpu.current
             if cur is not None:
-                if cur.state is not VcpuState.RUNNING:
+                if cur.state is not running:
                     self._fail(
                         machine,
                         "placement",
@@ -383,20 +389,21 @@ class InvariantChecker:
                     )
                 queued[v.key] = pcpu.pcpu_id
         for v in machine.vcpus:
-            if v.state is VcpuState.RUNNING:
+            state = v.state
+            if state is running:
                 if v.key in queued:
                     self._fail(
                         machine,
                         "placement",
                         f"RUNNING {v.name} also queued on pcpu {queued[v.key]}",
                     )
-                if v.pcpu is None or machine.pcpus[v.pcpu].current is not v:
+                if v.pcpu is None or pcpus[v.pcpu].current is not v:
                     self._fail(
                         machine,
                         "placement",
                         f"RUNNING {v.name} is not current on its pcpu {v.pcpu}",
                     )
-            elif v.state is VcpuState.RUNNABLE:
+            elif state is runnable:
                 where = queued.get(v.key)
                 if where is None:
                     self._fail(
@@ -480,13 +487,14 @@ class InvariantChecker:
     def _check_pmu_window(self, machine: "Machine") -> None:
         self.checks_run += 1
         pmu = machine.pmu
-        num_nodes = machine.topology.num_nodes
+        lt = operator.lt
         for v in machine.vcpus:
             bank = pmu.peek(v.key)
             base = pmu.peek_window_base(v.key)
-            # Scalar comparisons throughout: node_accesses is a
-            # num_nodes-element array and a numpy ``<``+``any()`` on it
-            # costs more than every other check here combined.
+            # Python-float comparisons throughout: node_accesses is a
+            # num_nodes-element array, and a numpy ``<``+``any()`` on it
+            # (or indexing it element by element) costs more than every
+            # other check here combined.
             if (
                 bank.instructions < base.instructions
                 or bank.llc_refs < base.llc_refs
@@ -494,8 +502,7 @@ class InvariantChecker:
                 or bank.local_accesses < base.local_accesses
                 or bank.remote_accesses < base.remote_accesses
                 or any(
-                    bank.node_accesses[i] < base.node_accesses[i]
-                    for i in range(num_nodes)
+                    map(lt, bank.node_accesses.tolist(), base.node_accesses.tolist())
                 )
             ):
                 self._fail(
@@ -508,6 +515,7 @@ class InvariantChecker:
     def _check_pmu_monotone(self, machine: "Machine") -> None:
         self.checks_run += 1
         pmu = machine.pmu
+        prev_of = self._pmu_prev
         for v in machine.vcpus:
             bank = pmu.peek(v.key)
             now = (
@@ -517,9 +525,17 @@ class InvariantChecker:
                 bank.local_accesses,
                 bank.remote_accesses,
             )
-            prev = self._pmu_prev.get(v.key)
-            self._pmu_prev[v.key] = now
-            if prev is None:
+            prev = prev_of.get(v.key)
+            prev_of[v.key] = now
+            # Fast path: nothing decreased.  Anything else (a decrease
+            # or a NaN) takes the per-field loop, which names the field.
+            if prev is None or (
+                now[0] >= prev[0]
+                and now[1] >= prev[1]
+                and now[2] >= prev[2]
+                and now[3] >= prev[3]
+                and now[4] >= prev[4]
+            ):
                 continue
             for field, a, b in zip(
                 ("instructions", "llc_refs", "llc_misses", "local", "remote"),

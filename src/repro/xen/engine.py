@@ -48,6 +48,7 @@ import numpy as np
 
 from repro.hardware.cache import CacheDemand, LLCState
 from repro.hardware.memory import BYTES_PER_MISS
+from repro.xen import native
 from repro.xen.vcpu import Vcpu, VcpuState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -298,6 +299,15 @@ class VectorEngine:
     #: the stepper consults it before attempting a macro-step.
     supports_batch = False
 
+    #: gather-cache entries kept before the cache is cleared.  Loaded
+    #: machines rarely revisit an assignment (the hit rate is under 10%
+    #: on the loaded SPEC scenario at any size), and every cached gather
+    #: with its fused plan is ~100 GC-tracked containers: at 1024
+    #: entries they survive into the oldest generation and full
+    #: collections cost ~10% of a loaded run.  At 64 the rebuild count
+    #: grows by ~2% and the collections mostly stop.
+    _GATHER_CACHE_MAX = 64
+
     def __init__(self, machine: "Machine") -> None:
         self.machine = machine
         self.epoch = machine.config.epoch_s
@@ -343,8 +353,8 @@ class VectorEngine:
         # recur as queues rotate, so gathers are memoised by
         # (keys, pcpus) with the per-key generations stored alongside:
         # a phase change replaces the stale entry in place, so the dict
-        # never grows past the number of distinct assignments (the size
-        # cap is a safety valve only).
+        # never grows past the number of distinct assignments or
+        # _GATHER_CACHE_MAX, whichever is smaller.
         self._gather: Optional[_Gather] = None
         self._gather_sig: Optional[Tuple] = None
         self._gather_cache: Dict[Tuple, Tuple[Tuple, _Gather]] = {}
@@ -536,7 +546,7 @@ class VectorEngine:
             if entry is None or entry[0] != gens:
                 gather = _Gather(self, running_pcpus, running_vcpus, k)
                 machine.profiler.count("gather_build")
-                if len(cache) >= 1024:
+                if len(cache) >= self._GATHER_CACHE_MAX:
                     cache.clear()
                 cache[sig_kp] = (gens, gather)
             else:
@@ -1046,6 +1056,9 @@ class BatchedEngine(VectorEngine):
         self._repick_total = 0
         self._spec_attempts = 0
         self._spec_misses = 0
+        #: fused-replay batches run by the native kernel / by Python.
+        self._replay_native = 0
+        self._replay_python = 0
         #: hoisted latency/topology constants for the fused replay,
         #: built on first use (see _build_fused_plan).
         self._fused_scalars: Optional[tuple] = None
@@ -1548,7 +1561,7 @@ class BatchedEngine(VectorEngine):
             if entry is None or entry[0] != gens:
                 gather = _Gather(self, running_pcpus, running_vcpus, k)
                 machine.profiler.count("gather_build")
-                if len(cache) >= 1024:
+                if len(cache) >= self._GATHER_CACHE_MAX:
                     cache.clear()
                 cache[sig_kp] = (gens, gather)
             else:
@@ -2319,11 +2332,30 @@ class BatchedEngine(VectorEngine):
         Split into seed / epochs / commit phases: the epoch loop is the
         pure accumulator evolution over a :class:`_FusedState`, so it
         can be swapped for a bitwise-equal kernel without touching the
-        seeding or the write-back.
+        seeding or the write-back: the native kernel
+        (:mod:`repro.xen.native`) runs it when it is available, and
+        hands the batch back to :meth:`_fused_epochs` whenever Python
+        could raise or differ.
         """
         state = self._fused_seed(gather, running_pcpus, running_vcpus, k)
-        self._fused_epochs(state, epoch, kb)
+        self._fused_replay(state, epoch, kb)
         return self._fused_commit(state, end_batch, epoch, kb)
+
+    def _fused_replay(
+        self, state: "_FusedState", epoch: float, kb: int
+    ) -> None:
+        """Run the fused epochs natively when possible, else in Python.
+
+        The kernel returns None, having written nothing, whenever the
+        Python loop could raise or differ; the Python loop then runs
+        and raises (or not) exactly as it would alone.
+        """
+        kernel = native.fused_kernel()
+        if kernel is not None and kernel(state, epoch, kb) is not None:
+            self._replay_native += 1
+        else:
+            self._replay_python += 1
+            self._fused_epochs(state, epoch, kb)
 
     def _fused_epochs(
         self, state: "_FusedState", epoch: float, kb: int
@@ -2636,7 +2668,9 @@ class BatchedEngine(VectorEngine):
         are weighted percentiles over per-decision horizon lengths (the
         smallest length covering that fraction of decisions); ``epochs``
         is their weighted sum, ``batches`` counts advance_batch calls
-        (horizons of length > 1).  Counters reset with the engine, so a
+        (horizons of length > 1), and ``replay_native`` /
+        ``replay_python`` split the fused-replay batches by the path
+        that ran their epochs.  Counters reset with the engine, so a
         run resumed from a checkpoint reports post-resume statistics
         only.
         """
@@ -2663,6 +2697,8 @@ class BatchedEngine(VectorEngine):
             "fused_repicks": self._repick_total,
             "spec_attempts": self._spec_attempts,
             "spec_misses": self._spec_misses,
+            "replay_native": self._replay_native,
+            "replay_python": self._replay_python,
             "p50": pct(0.5),
             "p90": pct(0.9),
             "max": lengths[-1],

@@ -14,6 +14,7 @@ import pytest
 from repro.audit import (
     ENGINES,
     INVARIANT_NAMES,
+    NATIVE_OFF,
     DifferentialResult,
     FuzzScenario,
     InvariantChecker,
@@ -198,6 +199,25 @@ class TestMutationDetection:
         bank.instructions -= 1.0
         expect_violation(
             "pmu_monotone", lambda: checker.after_epoch(machine, True)
+        )
+
+    def test_pmu_monotone_catches_last_field_rollback(self):
+        machine = warm_machine()
+        checker = InvariantChecker(enabled=("pmu_monotone",), every=1)
+        checker.after_epoch(machine, True)
+        machine.pmu.peek(machine.vcpus[0].key).remote_accesses -= 1.0
+        expect_violation(
+            "pmu_monotone", lambda: checker.after_epoch(machine, True)
+        )
+
+    def test_pmu_window_catches_node_access_overtaken(self):
+        machine = warm_machine()
+        checker = InvariantChecker(enabled=("pmu_window",), every=1)
+        key = machine.vcpus[0].key
+        live = machine.pmu.peek(key).node_accesses
+        machine.pmu.peek_window_base(key).node_accesses[-1] = live[-1] + 1.0
+        expect_violation(
+            "pmu_window", lambda: checker.after_epoch(machine, True)
         )
 
     def test_pmu_window_catches_detached_base(self):
@@ -462,6 +482,60 @@ class TestAuditReport:
         assert report.budget_exhausted
         assert report.skipped_seeds == (0, 1, 2)
         assert report.results == ()
+
+
+class TestNativeLeg:
+    """The batched run rechecked with the native fused replay off."""
+
+    @staticmethod
+    def loaded():
+        # Memory-bound VCPUs on every PCPU: short horizons, fused replay.
+        return tiny_scenario(
+            profiles=("soplex", "hungry"),
+            vcpus=(4, 4),
+            active=(4, 4),
+            placements=("split", "split"),
+        )
+
+    def test_loaded_scenario_checked_equal(self):
+        from repro.xen import native
+
+        if native.fused_kernel() is None:
+            pytest.skip("native kernel not built")
+        result = run_differential(self.loaded(), engines=("reference", "batched"))
+        assert result.ok and result.native_leg == "equal"
+        assert result.summaries[NATIVE_OFF] == result.summaries["batched"]
+
+    def test_leg_skipped_without_native_batches(self, monkeypatch):
+        from repro.xen import native
+
+        monkeypatch.setattr(native, "enabled", False)
+        result = run_differential(self.loaded(), engines=("reference", "batched"))
+        assert result.ok and result.native_leg == "no-native"
+        assert NATIVE_OFF not in result.summaries
+        plain = run_differential(tiny_scenario(), engines=("reference", "vector"))
+        assert plain.native_leg == "off"
+
+    def test_divergence_reported(self, monkeypatch):
+        import repro.audit.fuzz as fuzz
+        from repro.xen import native
+
+        if native.fused_kernel() is None:
+            pytest.skip("native kernel not built")
+        texts = iter(['{"steals": 4}', '{"steals": 4}', '{"steals": 5}'])
+        monkeypatch.setattr(fuzz, "canonical_dumps", lambda obj: next(texts))
+        result = run_differential(self.loaded(), engines=("reference", "batched"))
+        assert not result.ok and result.kind == "divergence"
+        assert result.engine == NATIVE_OFF
+
+    def test_report_records_the_leg(self):
+        report = run_audit(
+            seeds=2, engines=("reference", "batched"), metamorphic=False
+        )
+        payload = report.to_dict()["payload"]
+        legs = [r["native_leg"] for r in payload["results"]]
+        assert len(legs) == 2 and set(legs) <= {"equal", "no-native"}
+        assert validate_audit_report(report.to_dict()) == []
 
 
 class TestCliAudit:
