@@ -106,15 +106,6 @@ class ScenarioConfig:
         the scenario instead of spinning forever.
     label:
         Human-readable scenario name carried into error messages.
-    fuse_ticks:
-        Forwarded to :attr:`~repro.xen.simulator.SimConfig.fuse_ticks`;
-        ``False`` restores the tick-capped horizon sizing (batched
-        engine only, results identical either way).
-    speculative:
-        Forwarded to
-        :attr:`~repro.xen.simulator.SimConfig.speculative`; opt-in
-        validate-and-truncate horizon sizing (batched engine only,
-        results identical either way).
     """
 
     work_scale: float = 0.10
@@ -128,8 +119,6 @@ class ScenarioConfig:
     faults: Optional[FaultPlan] = None
     max_epochs: Optional[int] = None
     label: str = ""
-    fuse_ticks: bool = True
-    speculative: bool = False
 
     def __post_init__(self) -> None:
         check_positive(self.work_scale, "work_scale")
@@ -148,8 +137,6 @@ class ScenarioConfig:
             faults=self.faults,
             max_epochs=self.max_epochs,
             label=self.label,
-            fuse_ticks=self.fuse_ticks,
-            speculative=self.speculative,
         )
 
 

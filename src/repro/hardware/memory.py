@@ -115,9 +115,6 @@ class MemorySystem:
     def __init__(self, topology: NUMATopology, latency: LatencySpec | None = None) -> None:
         self.topology = topology
         self.latency = latency or LatencySpec()
-        #: (3, 1) IMC-0/IMC-1/QPI bandwidth column for the batched
-        #: solve, built lazily on first use (2-node hosts only).
-        self._link_caps: "np.ndarray | None" = None
 
     def solve(
         self,
@@ -320,80 +317,6 @@ class MemorySystem:
                 penalty += frac * (dram1 + remote_add) if local else frac * dram1
             penalties[i] = penalty
         return penalties
-
-    def solve_compact_batch(
-        self,
-        traffic: np.ndarray,
-        run_node: Sequence[int],
-        mix0: np.ndarray,
-        mix1: np.ndarray,
-        local_mask: "np.ndarray | None" = None,
-    ) -> np.ndarray:
-        """Batched 2-node :meth:`solve_compact` over a horizon of epochs.
-
-        ``traffic``, ``mix0`` and ``mix1`` are ``(K, k)`` arrays — one
-        row per quiet epoch, one column per running VCPU — and
-        ``run_node`` is the per-VCPU node (constant across the batch by
-        construction: no migrations happen inside a horizon).
-        ``local_mask``, when given, is the precomputed ``run_node == 0``
-        boolean vector.  Returns the ``(K, k)`` per-miss penalties.
-
-        Bitwise contract: every per-epoch row reproduces
-        :meth:`_solve_compact_2node` exactly.  The IMC/QPI totals are
-        left-to-right ``cumsum`` reductions (numpy's accumulate is
-        strictly sequential, and ``0.0 + x == x``), the utilisation
-        ratios and inflation factors are elementwise (stacking the
-        three links changes nothing per element), and each VCPU's
-        penalty is the same two-term sum the scalar path produces (its
-        conditional ``frac > 0`` skips add exact zeros, so dropping
-        them is a bitwise no-op for these non-negative terms).
-        """
-        if local_mask is None:
-            local_mask = np.asarray(run_node) == 0
-        caps = self._link_caps
-        if caps is None:
-            nodes = self.topology.nodes
-            caps = np.array(
-                [
-                    [nodes[0].imc_bandwidth],
-                    [nodes[1].imc_bandwidth],
-                    [self.topology.qpi_bandwidth],
-                ]
-            )
-            self._link_caps = caps
-
-        K, k = traffic.shape
-        flows = np.empty((3, K, k))
-        np.multiply(traffic, mix0, out=flows[0])
-        np.multiply(traffic, mix1, out=flows[1])
-        # Cross-socket flow: traffic * (the remote half of the mix).
-        # Selecting the mix before multiplying is elementwise identical
-        # to selecting between the two products.
-        np.multiply(
-            traffic, np.where(local_mask, mix1, mix0), out=flows[2]
-        )
-        totals = flows.cumsum(axis=2)[:, :, -1]
-
-        cap = 8.0
-        knee = 1.0 - 1.0 / cap
-        rho = totals / caps
-        # Clipping at the knee before inverting reproduces the scalar
-        # branch exactly: below it, 1/(1-rho) is untouched; at or above
-        # it, 1/(1-knee) is exactly ``cap`` (0.875 and 0.125 are exact
-        # binary fractions), with no out-of-domain division.
-        factor = 1.0 / (1.0 - np.minimum(rho, knee))
-
-        lat = self.latency
-        dram0 = lat.local_dram_ns * factor[0]
-        dram1 = lat.local_dram_ns * factor[1]
-        remote_add = lat.remote_extra_ns * factor[2]
-        cost0 = np.where(
-            local_mask, dram0[:, None], (dram0 + remote_add)[:, None]
-        )
-        cost1 = np.where(
-            local_mask, (dram1 + remote_add)[:, None], dram1[:, None]
-        )
-        return mix0 * cost0 + mix1 * cost1
 
     def traffic_for(
         self,

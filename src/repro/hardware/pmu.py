@@ -292,130 +292,6 @@ class PMU:
             bank.local_accesses += local
             bank.remote_accesses += row_sums[i] - local
 
-    def charge_epoch_batch(
-        self,
-        keys: Sequence[int],
-        instructions: np.ndarray,
-        llc_refs: np.ndarray,
-        llc_misses: np.ndarray,
-        acc0: np.ndarray,
-        acc1: np.ndarray,
-        run_nodes: Sequence[int],
-        rows: np.ndarray,
-        local_mask: "np.ndarray | None" = None,
-        banks: "List[VcpuCounters] | None" = None,
-    ) -> None:
-        """Charge a horizon of quiet epochs in one go (2-node only).
-
-        Arrays are ``(K, k)`` — epoch-major over the k VCPUs that ran —
-        and ``acc0``/``acc1`` are the node-0/node-1 access components
-        (``llc_misses * mix``) the per-epoch path would pass rowwise.
-        ``local_mask``, when given, is the precomputed ``run_nodes ==
-        0`` boolean vector.
-
-        Bitwise contract with K successive :meth:`charge_epoch` calls:
-        every per-bank scalar and node-matrix cell accumulates through
-        a sequential ``cumsum`` seeded with its current value (numpy's
-        accumulate is strictly left-to-right, so the final element
-        equals the ``+=`` chain bit for bit) — all chains are
-        per-column independent, so one packed ``(K+1, 7k)`` cumsum
-        covers them — and the local/remote split reuses the scalar
-        path's exact expressions (``row[0] + row[1]`` then ``row_sum -
-        local``) elementwise.  Bank results are written back as Python
-        floats.
-        """
-        if banks is None:
-            counters = self._counters
-            banks = [counters[key] for key in keys]
-        matrix = self._node_matrix
-        k = len(banks)
-        if local_mask is None:
-            local_mask = np.asarray(run_nodes) == 0
-        local = np.where(local_mask, acc0, acc1)
-
-        chain = np.empty((acc0.shape[0] + 1, 7 * k))
-        # Seed through a Python list: scalar list stores are far
-        # cheaper than per-element ndarray item assignment.
-        start_l = [0.0] * (5 * k)
-        for i, b in enumerate(banks):
-            start_l[i] = b.instructions
-            start_l[k + i] = b.llc_refs
-            start_l[2 * k + i] = b.llc_misses
-            start_l[3 * k + i] = b.local_accesses
-            start_l[4 * k + i] = b.remote_accesses
-        chain[0, : 5 * k] = start_l
-        mrows = matrix[rows]
-        chain[0, 5 * k : 6 * k] = mrows[:, 0]
-        chain[0, 6 * k :] = mrows[:, 1]
-        body = chain[1:]
-        body[:, :k] = instructions
-        body[:, k : 2 * k] = llc_refs
-        body[:, 2 * k : 3 * k] = llc_misses
-        body[:, 3 * k : 4 * k] = local
-        body[:, 4 * k : 5 * k] = (acc0 + acc1) - local
-        body[:, 5 * k : 6 * k] = acc0
-        body[:, 6 * k :] = acc1
-        tot = chain.cumsum(axis=0)[-1]
-        mrows[:, 0] = tot[5 * k : 6 * k]
-        mrows[:, 1] = tot[6 * k :]
-        matrix[rows] = mrows
-        vals = tot[: 5 * k].tolist()
-        for i, bank in enumerate(banks):
-            bank.instructions = vals[i]
-            bank.llc_refs = vals[k + i]
-            bank.llc_misses = vals[2 * k + i]
-            bank.local_accesses = vals[3 * k + i]
-            bank.remote_accesses = vals[4 * k + i]
-
-    def batch_seed_into(
-        self,
-        banks: "List[VcpuCounters]",
-        rows: np.ndarray,
-        out: np.ndarray,
-    ) -> None:
-        """Seed a caller-owned packed chain row with bank totals.
-
-        ``out`` is a length-``7*k`` view laid out as the column blocks
-        of :meth:`charge_epoch_batch`'s chain: [instructions | refs |
-        misses | local | remote | node-0 | node-1].  Splitting the
-        seed/commit halves lets a batch engine append these blocks to
-        its own packed chain and run one cumsum over everything; the
-        per-column chains are unchanged, so the bitwise contract of
-        :meth:`charge_epoch_batch` carries over block by block.
-        """
-        k = len(banks)
-        start_l = [0.0] * (5 * k)
-        for i, b in enumerate(banks):
-            start_l[i] = b.instructions
-            start_l[k + i] = b.llc_refs
-            start_l[2 * k + i] = b.llc_misses
-            start_l[3 * k + i] = b.local_accesses
-            start_l[4 * k + i] = b.remote_accesses
-        out[: 5 * k] = start_l
-        mrows = self._node_matrix[rows]
-        out[5 * k : 6 * k] = mrows[:, 0]
-        out[6 * k :] = mrows[:, 1]
-
-    def batch_commit(
-        self,
-        banks: "List[VcpuCounters]",
-        rows: np.ndarray,
-        tot: np.ndarray,
-    ) -> None:
-        """Write back packed chain totals (layout of batch_seed_into)."""
-        k = len(banks)
-        vals = tot[: 5 * k].tolist()
-        for i, bank in enumerate(banks):
-            bank.instructions = vals[i]
-            bank.llc_refs = vals[k + i]
-            bank.llc_misses = vals[2 * k + i]
-            bank.local_accesses = vals[3 * k + i]
-            bank.remote_accesses = vals[4 * k + i]
-        mrows = np.empty((k, 2))
-        mrows[:, 0] = tot[5 * k : 6 * k]
-        mrows[:, 1] = tot[6 * k :]
-        self._node_matrix[rows] = mrows
-
     # ------------------------------------------------------------------
     # Reading (called by schedulers; costs hypervisor time)
     # ------------------------------------------------------------------

@@ -15,7 +15,7 @@ File format
 -----------
 One UTF-8 JSON header line, then the raw pickle payload::
 
-    {"schema": "repro.checkpoint/v1", "version": ..., "config_hash":
+    {"schema": "repro.checkpoint/v2", "version": ..., "config_hash":
      ..., "epoch_index": ..., "payload_sha256": ..., ...}\\n
     <pickle bytes>
 
@@ -64,7 +64,7 @@ __all__ = [
 #: Snapshot schema identifier.  Bump on ANY change to what the payload
 #: contains or how it is produced; a bump orphans every existing
 #: snapshot, which is the point (DESIGN.md "snapshot versioning").
-CHECKPOINT_SCHEMA = "repro.checkpoint/v1"
+CHECKPOINT_SCHEMA = "repro.checkpoint/v2"
 
 #: Pickle protocol pinned explicitly so the payload bytes are a
 #: deterministic function of the machine state and the schema version.

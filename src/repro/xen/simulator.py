@@ -91,7 +91,7 @@ class SimConfig:
     engine:
         ``"batched"`` runs epochs through the macro-stepping
         :class:`~repro.xen.engine.BatchedEngine`, which advances whole
-        event-free epoch runs in one 2D kernel pass; ``"vector"``
+        event-free epoch runs in one scalar replay; ``"vector"``
         (default here, for compatibility — scenario configs default to
         batched) steps one epoch at a time through the
         structure-of-arrays :class:`~repro.xen.engine.VectorEngine`;
@@ -118,23 +118,6 @@ class SimConfig:
         On by default: the hooks cost <3% of an epoch (pinned by
         ``benchmarks/bench_profiler.py``) and, like ``log_events``,
         cannot affect simulated results.
-    fuse_ticks:
-        Let the batched engine extend horizons across Credit ticks and
-        slice expiries it can prove quiescent (the policy's
-        ``tick_is_quiescent`` contract); fused boundaries replay the
-        real tick/scheduling code at commit, so results stay bitwise
-        identical.  On by default; ``False`` is a pure opt-out escape
-        hatch restoring PR 5's tick-capped horizon sizing.  Only the
-        batched engine reads it.
-    speculative:
-        Opt-in: let the batched engine size horizons past the
-        conservative finite-work completion floor, validate the batch
-        against captured pre-batch state before any commit, and on
-        mis-speculation truncate to the proven prefix (replaying
-        singleton epochs below the kernel break-even).  Results remain
-        bitwise identical; off by default because the default path must
-        not depend on validate-and-retry.  Only the batched engine
-        reads it.
     """
 
     epoch_s: float = 1e-3
@@ -151,8 +134,6 @@ class SimConfig:
     max_epochs: Optional[int] = None
     label: str = ""
     profile: bool = True
-    fuse_ticks: bool = True
-    speculative: bool = False
 
     def __post_init__(self) -> None:
         check_positive(self.epoch_s, "epoch_s")
@@ -625,8 +606,8 @@ class Machine:
         # 4. Contention solve and progress.  The batched engine first
         # sizes an event horizon — how many upcoming epochs are free of
         # ticks, samples, wakes, phase changes, completions, faults and
-        # the run limit — and macro-steps all of them in one 2D batch;
-        # a horizon of 1 falls back to the inherited single-epoch path.
+        # the run limit — and macro-steps all of them in one batch; a
+        # horizon of 1 falls back to the inherited single-epoch path.
         stepped = 1
         if engine is not None and engine.supports_batch:
             t0 = self.profiler.start()

@@ -6,9 +6,9 @@ tick a horizon spans is recorded in the fuse plan, and that burst and
 phase expiries may land only on the batch-final epoch.  These tests
 check those structural invariants on every horizon decision of real
 runs (by wrapping the sizing call), pin down the conservative-refusal
-paths (fault stalls, the hardened vProbe), and verify the two opt-outs
-— ``fuse_ticks=False`` and ``speculative=True`` — change execution
-strategy without changing a single simulated bit.
+paths (fault stalls, the hardened vProbe), and check that the two
+batch paths — the fused scalar replay and the generic per-epoch replay
+— are interchangeable and bitwise equal to the reference engine.
 """
 
 import math
@@ -22,7 +22,7 @@ from repro.experiments.scenarios import (
     make_scheduler,
     spec_scenario,
 )
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, fault_preset
 from repro.metrics.collectors import summarize
 from repro.xen.credit import CreditScheduler, SchedulerPolicy
 from repro.xen.engine import BatchedEngine
@@ -122,14 +122,18 @@ class TestHorizonInvariants:
         assert stats["batches"] < stats["epochs"]
 
     def test_classic_sizing_never_crosses_a_tick(self, monkeypatch):
-        """With fusion off, every tick terminates the horizon."""
+        """Classic sizing (kept while stalls are pending) stops at ticks."""
 
         def check(engine, e0, now, kb):
             ept = engine.machine._epochs_per_tick
             assert kb <= ept - (e0 % ept)
             assert engine._fuse_plan is None
 
-        machine = _batched_run(monkeypatch, check, fuse_ticks=False)
+        machine = _batched_run(
+            monkeypatch,
+            check,
+            faults=FaultPlan(stall_rate=0.05, stall_epochs=5),
+        )
         assert machine._engine.horizon_stats()["fused_ticks"] == 0
 
 
@@ -178,36 +182,25 @@ def _summary(**cfg_kw):
     return summarize(machine)
 
 
-class TestExecutionStrategyOptOuts:
-    """fuse_ticks / speculative change scheduling of work, not results."""
+class TestReplayPathParity:
+    """Fused and generic replay are interchangeable and match the oracle."""
 
-    def test_fuse_ticks_false_is_bitwise_identical(self):
-        reference = _summary(engine="reference")
-        fused = _summary(engine="batched")
-        unfused = _summary(engine="batched", fuse_ticks=False)
-        assert fused == reference
-        assert unfused == reference
+    @pytest.mark.parametrize("faults", ["none", "stall"])
+    def test_generic_replay_matches_default_and_reference(
+        self, monkeypatch, faults
+    ):
+        plan = None if faults == "none" else fault_preset(faults)
+        reference = _summary(engine="reference", faults=plan)
+        default = _summary(engine="batched", faults=plan)
+        stats = default.horizon_stats
+        assert stats["replay_native"] + stats["replay_python"] > 0
 
-    def test_speculative_is_bitwise_identical(self):
-        reference = _summary(engine="reference")
-        speculative = _summary(engine="batched", speculative=True)
-        assert speculative == reference
-        # The conservative completion floor binds on this scenario, so
-        # speculation must actually have been exercised.
-        assert speculative.horizon_stats["spec_attempts"] > 0
+        def generic(self, now, epoch, kb, *_gather_and_running_set):
+            return self._advance_replay(now, epoch, kb, None)
 
-
-class TestReplayBreakEven:
-    """The scalar-replay/kernel dispatch edge is a pure perf choice."""
-
-    def test_default_break_even(self):
-        # Break-even measured on the loaded scenario: the fused scalar
-        # replay beats the 2D kernel for every horizon up to ~16 epochs
-        # (the kernel's dispatch overhead dominates at small k).
-        assert BatchedEngine._REPLAY_MAX == 16
-
-    @pytest.mark.parametrize("replay_max", [1, 16, 10**9])
-    def test_dispatch_edge_is_bitwise_neutral(self, monkeypatch, replay_max):
-        reference = _summary(engine="reference")
-        monkeypatch.setattr(BatchedEngine, "_REPLAY_MAX", replay_max)
-        assert _summary(engine="batched") == reference
+        monkeypatch.setattr(BatchedEngine, "_advance_replay_fused", generic)
+        generic_only = _summary(engine="batched", faults=plan)
+        stats = generic_only.horizon_stats
+        assert stats["replay_native"] + stats["replay_python"] == 0
+        assert stats["batches"] == default.horizon_stats["batches"]
+        assert generic_only == default == reference

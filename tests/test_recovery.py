@@ -93,7 +93,7 @@ class TestCheckpointFile:
         machine = run_partially(build_machine())
         path = tmp_path / "m.ckpt"
         header = save_checkpoint(machine, path)
-        assert header["schema"] == "repro.checkpoint/v1"
+        assert header["schema"] == "repro.checkpoint/v2"
         assert header["config_hash"] == config_hash(machine.config)
         assert header["epoch_index"] == machine.epoch_index
         assert read_header(path) == header
