@@ -12,7 +12,7 @@ least 2x faster per epoch than the reference, asserts the batched
 engine beats the vector engine end to end on the loaded scenario, and
 writes the measured numbers — full cold-run wall clocks at
 ``work_scale=1.0`` plus the batched run's horizon histogram and
-fused-tick counters — to ``benchmarks/BENCH_engine.json``.  CI runs
+replay-path counters — to ``benchmarks/BENCH_engine.json``.  CI runs
 this test as its perf-regression smoke and uploads the JSON as an
 artifact.
 """
@@ -48,11 +48,11 @@ MIN_BATCHED_SPEEDUP = 2.0
 #: End-to-end floor for the batched engine against the vector engine
 #: on the loaded scenario: CPU time, min-of-2 interleaved cold runs.
 #: Measured
-#: ~1.25-1.30x: with 24 VCPUs contending for 8 PCPUs nearly every
-#: Credit tick rotates an incumbent (only ~1.5% of ticks are quiescent)
-#: and wakes truncate horizons to p50 = 3 epochs, so tick fusion's
-#: end-to-end win is bounded by event density, not by per-epoch cost —
-#: see DESIGN.md §6.  The floor leaves margin for CI machine noise.
+#: ~1.8-1.9x: with 24 VCPUs contending for 8 PCPUs, wakes, run-burst
+#: expiries and the 10-epoch Credit tick keep horizons short (p50 = 3
+#: epochs), so the edge comes from the fused scalar replay's lower
+#: per-epoch cost (the native kernel), not from long horizons — see
+#: DESIGN.md §6.  The floor leaves margin for CI machine noise.
 MIN_BATCHED_VS_VECTOR = 1.1
 
 

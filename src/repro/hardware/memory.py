@@ -36,6 +36,10 @@ LINE_BYTES = 64
 #: half line of traffic per miss on streaming workloads.
 BYTES_PER_MISS = 96
 
+#: Fixed-point iterations of the per-epoch traffic -> queueing -> rate
+#: solve; the reference loop and the fast engines both read it.
+CONTENTION_ITERATIONS = 2
+
 
 @dataclass(frozen=True, slots=True)
 class LatencySpec:

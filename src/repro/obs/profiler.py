@@ -45,12 +45,6 @@ The canonical phases (see :data:`SCHEDULER_PHASES`):
     One :meth:`~repro.xen.engine.BatchedEngine.compute_horizon` call —
     sizing the event-free epoch run the batched engine may advance in
     one step.  Absent on the reference/vector engines.
-``tick_fuse``
-    Committing the fused boundaries of one batch — replaying the real
-    tick (and, for fused slice-expiry re-picks, steal/context-switch)
-    calls the horizon proved quiescent.  Batched engine only; absent
-    when no tick fused (stall-fault runs, policies that refuse
-    ``tick_is_quiescent``).
 """
 
 from __future__ import annotations

@@ -64,7 +64,7 @@ __all__ = [
 #: Snapshot schema identifier.  Bump on ANY change to what the payload
 #: contains or how it is produced; a bump orphans every existing
 #: snapshot, which is the point (DESIGN.md "snapshot versioning").
-CHECKPOINT_SCHEMA = "repro.checkpoint/v2"
+CHECKPOINT_SCHEMA = "repro.checkpoint/v3"
 
 #: Pickle protocol pinned explicitly so the payload bytes are a
 #: deterministic function of the machine state and the schema version.

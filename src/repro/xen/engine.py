@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.hardware.cache import CacheDemand, LLCState
-from repro.hardware.memory import BYTES_PER_MISS
+from repro.hardware.memory import BYTES_PER_MISS, CONTENTION_ITERATIONS
 from repro.xen import native
 from repro.xen.vcpu import Vcpu, VcpuState
 
@@ -567,7 +567,7 @@ class VectorEngine:
         penalty = [lat.local_dram_ns] * k
         rates = [0.0] * k
         traffic = [0.0] * k
-        for _ in range(machine.config.contention_iterations - 1):
+        for _ in range(CONTENTION_ITERATIONS - 1):
             for i in range(k):
                 mr = miss[i]
                 per_ref_ns = (1.0 - mr) * hit_ns + mr * penalty[i]
@@ -730,11 +730,11 @@ class BatchedEngine(VectorEngine):
     event checks the horizon proved are no-ops are skipped.  The fused
     scalar replay (:meth:`_advance_replay_fused`, native kernel or its
     Python oracle) additionally hoists the running-set scan, gather
-    lookup and every state commit out of the epoch loop.  Batches it
-    cannot take — fused ticks, idle PCPUs — replay the inherited
-    single-epoch advance epoch by epoch (:meth:`_advance_replay`),
-    making the real tick calls and the (no-op) idle-PCPU steal attempts
-    at their exact epochs, which keeps scheduler RNG parity.
+    lookup and every state commit out of the epoch loop.  A batch with
+    an idle PCPU replays the inherited single-epoch advance epoch by
+    epoch instead (:meth:`_advance_replay`), making the (no-op)
+    idle-PCPU steal attempts at their exact epochs, which keeps
+    scheduler RNG parity.
 
     Topologies other than the paper's dual-socket host fall back to
     singleton stepping (``compute_horizon`` returns 1), which is the
@@ -748,23 +748,18 @@ class BatchedEngine(VectorEngine):
         self._cache_advance_batch = [
             cache.state.advance_compact_batch for cache in machine.caches
         ]
-        #: pending fused-boundary plan for the batch compute_horizon just
-        #: sized: a list of ``(j, time, slice_proj, repicks)`` tuples, one
-        #: per provably-quiescent Credit tick inside the horizon.
-        self._fuse_plan: Optional[list] = None
+        lat = machine.config.latency
+        #: every LLC reference costs at least the cheaper of a hit and
+        #: local DRAM (remote is local plus a non-negative premium).
+        self._floor_ns = min(lat.llc_hit_ns, lat.local_dram_ns)
         self._horizon_hist: Dict[int, int] = {}
         self._batch_calls = 0
-        self._fused_tick_total = 0
-        self._repick_total = 0
         #: fused-replay batches run by the native kernel / by Python.
         self._replay_native = 0
         self._replay_python = 0
         #: hoisted latency/topology constants for the fused replay,
         #: built on first use (see _build_fused_plan).
         self._fused_scalars: Optional[tuple] = None
-        #: run-static constants for _horizon_fused, built on first call
-        #: (policy params and latency floors never change mid-run).
-        self._fh_const: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # Event horizon
@@ -774,33 +769,43 @@ class BatchedEngine(VectorEngine):
 
         Called after the stepper has run this epoch's fault, tick, wake
         and scheduling phases; returns 1 whenever any discrete event
-        could fire before the batch would end.  A horizon may span
-        Credit ticks the policy's quiescence projection proves are
-        no-ops — the plan of fused boundaries is left in ``_fuse_plan``
-        for advance_batch.
+        could fire before the batch would end.
         """
-        self._fuse_plan = None
-        faults = self.machine.faults
-        if not self.two_node:
-            kb = 1
-        elif faults is not None and faults.plan.stall_rate > 0:
-            # Pending stall overhead lands at arbitrary epochs and is
-            # invisible to the quiescence projection — keep the classic
-            # stall-capped sizing for these runs.
-            kb = self._horizon_classic(now, limit)
-        else:
-            kb = self._horizon_fused(now, limit)
+        kb = self._horizon(now, limit) if self.two_node else 1
         hist = self._horizon_hist
         hist[kb] = hist.get(kb, 0) + 1
         return kb
 
-    def _horizon_classic(self, now: float, limit: float) -> int:
-        """Tick-capped horizon sizing: every Credit tick ends the batch."""
+    def _horizon(self, now: float, limit: float) -> int:
+        """One walk along the epoch axis, capped at the first event.
+
+        Structural caps come first: the next Credit tick, the next
+        sampling boundary, the epoch cap and, under stall faults, the
+        next stall epoch.  Then the running set: no finite-work
+        completion may fire inside the batch, and a run-burst expiry may
+        land only on its final epoch.  Last, the exact epoch-end
+        trajectory is walked against the wake heap, the phase heap, the
+        crash schedule and the run limit.
+
+        The completion floor is *exclusive*: every LLC reference costs
+        at least ``min(llc_hit_ns, local_dram_ns)`` (remote latency is
+        local plus a non-negative premium, and queueing only inflates
+        penalties), so ``clock / (cpi_base + rpi * floor_ns * ns2c /
+        mlp)`` is a true upper bound on the retire rate, and a one-epoch
+        margin under each finite-work budget guarantees no completion
+        fires at any batch epoch.  Pending stall overhead only lowers
+        the retired work further.  Run-burst expiries are *inclusive*:
+        the budget drains by exactly one epoch per step regardless of
+        contention, so the batch may end ON the expiry epoch and fire
+        the block transition at the batch boundary.
+        """
         machine = self.machine
         e0 = machine.epoch_index
         epoch = self.epoch
-        kb = machine._epochs_per_tick - (e0 % machine._epochs_per_tick)
-        ks = machine._epochs_per_sample - (e0 % machine._epochs_per_sample)
+        ept = machine._epochs_per_tick
+        eps = machine._epochs_per_sample
+        kb = ept - (e0 % ept)
+        ks = eps - (e0 % eps)
         if ks < kb:
             kb = ks
         cap = machine.config.max_epochs
@@ -821,159 +826,7 @@ class BatchedEngine(VectorEngine):
         if kb <= 1:
             return 1
 
-        # Running-set floors.  Completions stay *exclusive*: with rates
-        # bounded by clock / cpi_base (the queueing stall is
-        # non-negative), a one-epoch margin under each finite-work
-        # budget guarantees no completion fires at any batch epoch.
-        # Run-burst expiries are *inclusive*: the budget drains by
-        # exactly one epoch per step regardless of contention, so the
-        # expiry epoch is known in advance — the batch may end ON it and
-        # fire the block transition at the batch boundary.
-        idle = False
-        for pcpu in machine.pcpus:
-            cur = pcpu.current
-            if cur is None:
-                idle = True
-                continue
-            key = cur.key
-            w = cur.workload
-            total = w.profile.total_instructions
-            if total is not None:
-                remaining = total - w.instructions_done
-                rate_max = self.node_clock[pcpu.node] / self.cpi_base[key]
-                floor = int(remaining / (rate_max * epoch)) - 1
-                if floor < kb:
-                    kb = floor
-            burst = cur.run_burst_remaining_s
-            if burst <= (kb + 1) * epoch:
-                # Expiry may land inside the window: replay the exact
-                # per-epoch subtraction chain (`x -= epoch`, the same
-                # sequential float ops the progress pass performs) to
-                # find the first epoch whose end leaves the budget at
-                # or below zero, and end the batch there.
-                x = burst
-                for j in range(kb):
-                    x -= epoch
-                    if x <= 0.0:
-                        kb = j + 1
-                        break
-            if kb <= 1:
-                return 1
-        if idle:
-            # After a scheduling pass an idle PCPU implies every queue
-            # is empty (the pass steals unconditionally); guard the
-            # invariant anyway — queued work next to an idle PCPU means
-            # rescheduling activity every epoch.
-            for pcpu in machine.pcpus:
-                if pcpu.queue.head_rank() is not None:
-                    return 1
-
-        # Time-driven events: walk the exact epoch-end trajectory (the
-        # same sequential float adds the stepper performs) against the
-        # wake heap, the phase heap, the crash schedule and the run
-        # limit.  A phase change due at a batch-final epoch end is fine:
-        # the stepper applies phase changes once at the batch end.
-        wake = self.wake_heap[0][0] if self.wake_heap else math.inf
-        phase = self.phase_heap[0][0] if self.phase_heap else math.inf
-        t = now
-        j = 0
-        while j < kb:
-            if j > 0 and (
-                wake <= t or crash_time <= t or t >= limit - 1e-12
-            ):
-                kb = j
-                break
-            t_next = t + epoch
-            if phase <= t_next:
-                kb = j + 1
-                break
-            t = t_next
-            j += 1
-        return kb if kb > 1 else 1
-
-    def _horizon_fused(self, now: float, limit: float) -> int:
-        """Horizon sizing that spans provably-quiescent Credit ticks.
-
-        One merged walk along the epoch axis checks, per epoch, the same
-        caps as :meth:`_horizon_classic` (wakes, crashes, the run limit,
-        phase changes, inclusive run-burst expiries) *plus*, at every
-        tick boundary, a quiescence projection of the tick's arithmetic:
-
-        * the policy must promise stock Credit behaviour for that tick
-          (:meth:`SchedulerPolicy.tick_is_quiescent`);
-        * the projected debit/refill must not tickle-preempt anyone (no
-          queue head outranking a running VCPU's post-tick priority) and
-          must not flip a *queued* VCPU across the UNDER/OVER line (a
-          flip reorders its queue at ``_requeue_for_priority``, which can
-          change every later pick);
-        * a projected slice expiry is fusable only as a *re-pick*: no
-          idle PCPU, every queue empty machine-wide, and the policy's
-          ``fused_repick_steals_none`` licence in force — then the
-          expiry provably re-selects the incumbent and the boundary's
-          real calls replay at commit time (RNG draws included).
-
-        Ticks that pass are recorded in ``self._fuse_plan`` as
-        ``(j, time, slice_proj, repicks)`` and committed by
-        advance_batch; the first tick that fails terminates the horizon
-        exactly where the classic sizing would.
-
-        The finite-work completion floor is tightened relative to the
-        classic one: every LLC reference costs at least
-        ``min(llc_hit_ns, local_dram_ns)`` (remote latency is local plus
-        a non-negative premium, and queueing only inflates penalties),
-        so ``clock / (cpi_base + rpi * floor_ns * ns2c / mlp)`` is still
-        a true upper bound on the retire rate while sitting far below
-        ``clock / cpi_base`` for memory-bound keys.
-        """
-        machine = self.machine
-        e0 = machine.epoch_index
-        epoch = self.epoch
-        kmax = machine._epochs_per_sample - (e0 % machine._epochs_per_sample)
-        cap = machine.config.max_epochs
-        if cap is not None and cap - e0 < kmax:
-            kmax = cap - e0
-        crash_time = math.inf
-        faults = machine.faults
-        if faults is not None:
-            # stall_rate > 0 routes to _horizon_classic before this point
-            next_crash = faults.next_crash_time()
-            if next_crash is not None:
-                crash_time = next_crash
-        if kmax <= 1:
-            return 1
-
-        fh = self._fh_const
-        if fh is None:
-            lat = machine.config.latency
-            params = machine.policy.params
-            fh = self._fh_const = (
-                # every LLC reference costs at least the cheaper of a
-                # hit and local DRAM; remote is local plus a premium
-                lat.llc_hit_ns
-                if lat.llc_hit_ns < lat.local_dram_ns
-                else lat.local_dram_ns,
-                machine._epochs_per_tick,
-                params.credits_per_tick,
-                params.credit_floor,
-                params.credit_cap,
-                params.ticks_per_acct,
-                params.slice_s,
-                bool(
-                    machine.policy.fused_repick_steals_none
-                    and params.cache_hot_s > 0.0
-                ),
-            )
-        (
-            floor_ns,
-            ept,
-            cpt,
-            cfloor,
-            ccap,
-            tpa,
-            slice_s,
-            repick_base,
-        ) = fh
-        running_pcpus = []
+        floor_ns = self._floor_ns
         running_vcpus = []
         idle = False
         for pcpu in machine.pcpus:
@@ -981,7 +834,6 @@ class BatchedEngine(VectorEngine):
             if cur is None:
                 idle = True
                 continue
-            running_pcpus.append(pcpu)
             running_vcpus.append(cur)
             w = cur.workload
             total = w.profile.total_instructions
@@ -996,148 +848,42 @@ class BatchedEngine(VectorEngine):
                     / self.mlp[key]
                 )
                 floor = int((total - w.instructions_done) / (rate_ub * epoch)) - 1
-                if floor < kmax:
-                    kmax = floor
-        if kmax <= 1:
+                if floor < kb:
+                    kb = floor
+        if kb <= 1:
             return 1
         if idle:
-            # Same invariant guard as the classic sizing: an idle PCPU
-            # next to queued work means rescheduling every epoch.
+            # After a scheduling pass an idle PCPU implies every queue
+            # is empty (the pass steals unconditionally); guard the
+            # invariant anyway — queued work next to an idle PCPU means
+            # rescheduling activity every epoch.
             for pcpu in machine.pcpus:
                 if pcpu.queue.head_rank() is not None:
                     return 1
 
-        policy = machine.policy
-        k = len(running_vcpus)
-        wake = self.wake_heap[0][0] if self.wake_heap else math.inf
-        phase = self.phase_heap[0][0] if self.phase_heap else math.inf
-
         # Armed run-burst chains: exact per-epoch `x -= epoch` replicas
-        # for every budget that could drain inside the window; budgets
-        # beyond (kmax + 1) epochs cannot reach zero in it.
-        arm_limit = (kmax + 1) * epoch
+        # (the same sequential float ops the progress pass performs) for
+        # every budget that could drain inside the window; budgets
+        # beyond (kb + 1) epochs cannot reach zero in it.
+        arm_limit = (kb + 1) * epoch
         bursts = [
             v.run_burst_remaining_s
             for v in running_vcpus
             if v.run_burst_remaining_s <= arm_limit
         ]
         nb = len(bursts)
-
-        # Tick-quiescence projection state.  slice_w lazily catches up
-        # to the current epoch (scalar adds, the same float ops the
-        # progress chain performs); credits_w replays the exact
-        # debit/refill arithmetic; queued VCPU credits move only at
-        # projected refills and are tracked on demand.
-        slice_w = [v.slice_used_s for v in running_vcpus]
-        synced = 0
-        credits_w = [v.credits for v in running_vcpus]
-        queued_credits: Dict[int, float] = {}
-        refill_active: Optional[list] = None
-        pos_of: Optional[Dict[int, int]] = None
-        total_weight = 0.0
-        supply = 0.0
-        tick_base = machine.tick_index
-        next_tick = ept - (e0 % ept)
-        repick_ok = repick_base and not idle
-        plan: list = []
-
-        kb = kmax
+        # A phase change due at a batch-final epoch end is fine: the
+        # stepper applies phase changes once at the batch end.
+        wake = self.wake_heap[0][0] if self.wake_heap else math.inf
+        phase = self.phase_heap[0][0] if self.phase_heap else math.inf
         t = now
         j = 0
         while j < kb:
-            if j > 0:
-                if wake <= t or crash_time <= t or t >= limit - 1e-12:
-                    kb = j
-                    break
-                if j == next_tick:
-                    T = tick_base + len(plan)
-                    fusable = policy.tick_is_quiescent(T)
-                    repicks: Tuple[int, ...] = ()
-                    if fusable:
-                        # Projected debit (+BOOST clear) on running VCPUs:
-                        # value-identical to max(floor, c - debit).
-                        new_credits = []
-                        for c in credits_w:
-                            nc = c - cpt
-                            if nc < cfloor:
-                                nc = cfloor
-                            new_credits.append(nc)
-                        if T % tpa == 0:
-                            if refill_active is None:
-                                refill_active = [
-                                    v for v in machine.vcpus if v.runnable
-                                ]
-                                total_weight = sum(
-                                    v.domain.weight for v in refill_active
-                                )
-                                supply = cpt * tpa * len(machine.pcpus)
-                                pos_of = {
-                                    v.key: i
-                                    for i, v in enumerate(running_vcpus)
-                                }
-                            # Refill in machine order, value-identical to
-                            # min(cap, c + share).  The runnable set is
-                            # frozen inside a batch, so the active list,
-                            # weight sum and supply are loop-invariant.
-                            for v in refill_active:
-                                i = pos_of.get(v.key)
-                                if i is not None:
-                                    c = new_credits[i]
-                                else:
-                                    c = queued_credits.get(v.key, v.credits)
-                                share = supply * (
-                                    v.domain.weight / total_weight
-                                )
-                                nc = c + share
-                                if nc > ccap:
-                                    nc = ccap
-                                if i is not None:
-                                    new_credits[i] = nc
-                                elif not v.boosted and c < 0.0 <= nc:
-                                    # Queued OVER->UNDER flip: requeue
-                                    # reorders and may newly tickle.
-                                    fusable = False
-                                    break
-                                else:
-                                    queued_credits[v.key] = nc
-                    if fusable:
-                        gap = j - synced
-                        if gap:
-                            for i in range(k):
-                                x = slice_w[i]
-                                for _ in range(gap):
-                                    x = x + epoch
-                                slice_w[i] = x
-                            synced = j
-                        expire = []
-                        for i in range(k):
-                            rank = 1 if new_credits[i] >= 0.0 else 2
-                            head = running_pcpus[i].queue.head_rank()
-                            if head is not None and head < rank:
-                                # Queue head would tickle-preempt: a real
-                                # context switch, not a no-op boundary.
-                                fusable = False
-                                break
-                            if slice_w[i] >= slice_s - 1e-12:
-                                expire.append(i)
-                        if fusable and expire:
-                            if repick_ok and not any(
-                                p.queue for p in machine.pcpus
-                            ):
-                                repicks = tuple(expire)
-                            else:
-                                fusable = False
-                    if not fusable:
-                        kb = j
-                        break
-                    slice_proj = list(slice_w)
-                    for i in repicks:
-                        # switch-in resets the slice before this epoch's
-                        # progress add
-                        slice_w[i] = 0.0
-                    credits_w = new_credits
-                    plan.append((j, t, slice_proj, repicks))
-                    next_tick += ept
+            if j > 0 and (
+                wake <= t or crash_time <= t or t >= limit - 1e-12
+            ):
+                kb = j
+                break
             t_next = t + epoch
             if phase <= t_next:
                 kb = j + 1
@@ -1153,15 +899,7 @@ class BatchedEngine(VectorEngine):
                 break
             t = t_next
             j += 1
-
-        if kb <= 1:
-            return 1
-        if plan:
-            # Every entry precedes the final cut by construction (breaks
-            # set kb to the current epoch or one past it, and entries are
-            # appended strictly before either).
-            self._fuse_plan = plan
-        return kb
+        return kb if kb > 1 else 1
 
     # ------------------------------------------------------------------
     # Batched advance
@@ -1171,31 +909,20 @@ class BatchedEngine(VectorEngine):
 
         The caller (the stepper) has already run this epoch's pre-solve
         phases and guarantees — via :meth:`compute_horizon` — that no
-        discrete event fires strictly inside the batch.  Batches with
-        fused ticks, an idle PCPU (its per-epoch steal attempts), a
-        non-default contention depth or a topology other than the
-        dual-socket host replay the generic per-epoch path; every other
-        batch takes the fused scalar replay.
+        discrete event fires strictly inside the batch.  A batch with an
+        idle PCPU replays the generic per-epoch path (its per-epoch
+        steal attempts); every other batch takes the fused scalar
+        replay.
         """
-        machine = self.machine
-        plan = self._fuse_plan
-        self._fuse_plan = None
         self._batch_calls += 1
-        if (
-            plan
-            or not self.two_node
-            or machine.config.contention_iterations != 2
-        ):
-            return self._advance_replay(now, epoch, kb, plan)
-
         running_pcpus = []
         running_vcpus = []
         sig_keys = []
         sig_pids = []
-        for pcpu in machine.pcpus:
+        for pcpu in self.machine.pcpus:
             cur = pcpu.current
             if cur is None:
-                return self._advance_replay(now, epoch, kb, None)
+                return self._advance_replay(now, epoch, kb)
             running_pcpus.append(pcpu)
             running_vcpus.append(cur)
             sig_keys.append(cur.key)
@@ -1207,39 +934,25 @@ class BatchedEngine(VectorEngine):
             now, epoch, kb, gather, running_pcpus, running_vcpus
         )
 
-    def _advance_replay(
-        self, now: float, epoch: float, kb: int, plan: Optional[list]
-    ) -> float:
+    def _advance_replay(self, now: float, epoch: float, kb: int) -> float:
         """Generic batch: replay the per-epoch path directly.
 
         Each interior epoch runs the (no-op) idle-PCPU steal attempts
-        the reference's scheduling pass would make — or, at a fused tick
-        boundary, the *real* tick plus a full scheduling pass — then the
-        inherited singleton advance.  The same calls in the same order,
-        so equality is by construction; per-epoch live state makes
-        slice projections unnecessary.
+        the reference's scheduling pass would make, then the inherited
+        singleton advance.  The same calls in the same order, so
+        equality is by construction.
         """
         machine = self.machine
         profiler = machine.profiler
         policy = machine.policy
-        ticks = {ft[0]: ft for ft in plan} if plan else None
         t = now
         for j in range(kb):
             if j > 0:
-                ft = ticks.get(j) if ticks else None
-                if ft is not None:
-                    t0 = profiler.start()
-                    machine._run_tick(t)
-                    machine._schedule_pass(t)
-                    profiler.stop("tick_fuse", t0)
-                    self._fused_tick_total += 1
-                    self._repick_total += len(ft[3])
-                else:
-                    for pcpu in machine.pcpus:
-                        if pcpu.current is None:
-                            t0 = profiler.start()
-                            policy.steal(pcpu, t, under_only=False)
-                            profiler.stop("balance", t0)
+                for pcpu in machine.pcpus:
+                    if pcpu.current is None:
+                        t0 = profiler.start()
+                        policy.steal(pcpu, t, under_only=False)
+                        profiler.stop("balance", t0)
             self.advance_running(t, epoch)
             t = t + epoch
         return t
@@ -1480,8 +1193,8 @@ class BatchedEngine(VectorEngine):
         vectors) evolve on Python locals seeded from live state; the
         finals are written back after the last epoch, which is bitwise
         neutral because nothing else reads them mid-batch (the caller
-        guarantees no fused tick, no idle PCPU and an event-free
-        interior).  Dual-socket only.
+        guarantees no idle PCPU and an event-free interior).
+        Dual-socket only.
 
         Split into seed / epochs / commit phases: the epoch loop is the
         pure accumulator evolution over a :class:`_FusedState`, so it
@@ -1823,7 +1536,7 @@ class BatchedEngine(VectorEngine):
     # Horizon statistics
     # ------------------------------------------------------------------
     def horizon_stats(self) -> Optional[dict]:
-        """Horizon-length distribution and fusion counters for this run.
+        """Horizon-length distribution and replay-path counters for this run.
 
         Returns None before the first horizon decision.  ``p50``/``p90``
         are weighted percentiles over per-decision horizon lengths (the
@@ -1854,8 +1567,8 @@ class BatchedEngine(VectorEngine):
             "horizons": steps,
             "epochs": sum(length * n for length, n in hist.items()),
             "batches": self._batch_calls,
-            "fused_ticks": self._fused_tick_total,
-            "fused_repicks": self._repick_total,
+            # pinned at 0: perfbench/layers.py still indexes this key
+            "fused_ticks": 0,
             "replay_native": self._replay_native,
             "replay_python": self._replay_python,
             "p50": pct(0.5),

@@ -24,7 +24,12 @@ import numpy as np
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.hardware.cache import CacheModel
-from repro.hardware.memory import BYTES_PER_MISS, LatencySpec, MemorySystem
+from repro.hardware.memory import (
+    BYTES_PER_MISS,
+    CONTENTION_ITERATIONS,
+    LatencySpec,
+    MemorySystem,
+)
 from repro.hardware.pmu import PMU, VcpuCounters
 from repro.hardware.topology import NUMATopology
 from repro.obs.profiler import PhaseProfiler
@@ -82,8 +87,6 @@ class SimConfig:
         Memory-system base latencies.
     log_events:
         Record the structured event log (off for long benches).
-    contention_iterations:
-        Fixed-point iterations of the traffic->queueing->rate solve.
     pmu_collection_cost_s:
         Hypervisor time per counter collection event.
     stop_on_finite_completion:
@@ -126,7 +129,6 @@ class SimConfig:
     seed: int = 0
     latency: LatencySpec = field(default_factory=LatencySpec)
     log_events: bool = False
-    contention_iterations: int = 2
     pmu_collection_cost_s: float = 0.3e-6
     stop_on_finite_completion: bool = True
     engine: str = "vector"
@@ -139,8 +141,6 @@ class SimConfig:
         check_positive(self.epoch_s, "epoch_s")
         check_positive(self.sample_period_s, "sample_period_s")
         check_positive(self.max_time_s, "max_time_s")
-        if self.contention_iterations < 1:
-            raise ValueError("contention_iterations must be >= 1")
         if self.pmu_collection_cost_s < 0:
             raise ValueError("pmu_collection_cost_s must be >= 0")
         if self.engine not in ENGINES:
@@ -659,10 +659,9 @@ class Machine:
     def _run_tick(self, now: float) -> None:
         """Phase 1 of an epoch: Credit tick plus PMU refresh charges.
 
-        Split out of :meth:`_step_epoch` so the batched engine can
-        replay *fused* interior ticks through the identical code path
-        (see ``BatchedEngine.advance_batch``); the stepper and the
-        engine therefore cannot drift apart on tick accounting.
+        Every Credit tick runs here, at the start of an epoch the
+        stepper takes itself: the batched engine's horizons stop at the
+        next tick, so no batch ever crosses one.
         """
         self.policy.on_tick(now, self.tick_index)
         if self.policy.collects_pmu:
@@ -674,10 +673,9 @@ class Machine:
     def _schedule_pass(self, now: float) -> None:
         """Phase 3 of an epoch: fill idle PCPUs, stealing if needed.
 
-        Also shared with the batched engine, which replays it at fused
-        slice-expiry boundaries (where it re-picks the just-preempted
-        incumbent) and — implicitly, via the same pick/steal sequence —
-        for idle PCPUs at interior batch epochs.
+        Inside a batch the batched engine replays only the part that
+        can fire there: the (no-op) steal attempt of each idle PCPU at
+        every interior epoch (``BatchedEngine._advance_replay``).
         """
         for pcpu in self.pcpus:
             cur = pcpu.current
@@ -760,7 +758,7 @@ class Machine:
         }
         rates: Dict[int, float] = {}
         mem_costs = None
-        for _ in range(self.config.contention_iterations):
+        for _ in range(CONTENTION_ITERATIONS):
             traffic: Dict[int, float] = {}
             for pcpu, vcpu in running:
                 prof = vcpu.workload.profile

@@ -1,22 +1,19 @@
-"""The batched engine's fused event-horizon sizing.
+"""The batched engine's event-horizon sizing.
 
 :meth:`~repro.xen.engine.BatchedEngine.compute_horizon` promises that
-no discrete event fires strictly inside a batch, that every Credit
-tick a horizon spans is recorded in the fuse plan, and that burst and
-phase expiries may land only on the batch-final epoch.  These tests
-check those structural invariants on every horizon decision of real
-runs (by wrapping the sizing call), pin down the conservative-refusal
-paths (fault stalls, the hardened vProbe), and check that the two
-batch paths — the fused scalar replay and the generic per-epoch replay
-— are interchangeable and bitwise equal to the reference engine.
+no discrete event fires strictly inside a batch: every horizon stops at
+the next Credit tick and sampling boundary, and burst and phase expiries
+may land only on the batch-final epoch.  These tests check those
+structural invariants on every horizon decision of real runs (by
+wrapping the sizing call), and check that the two batch paths — the
+fused scalar replay and the generic per-epoch replay — are
+interchangeable and bitwise equal to the reference engine.
 """
 
 import math
 
 import pytest
 
-from repro.baselines.brm import BRMScheduler
-from repro.core.vprobe import vprobe, vprobe_hardened
 from repro.experiments.scenarios import (
     ScenarioConfig,
     make_scheduler,
@@ -24,7 +21,6 @@ from repro.experiments.scenarios import (
 )
 from repro.faults.plan import FaultPlan, fault_preset
 from repro.metrics.collectors import summarize
-from repro.xen.credit import CreditScheduler, SchedulerPolicy
 from repro.xen.engine import BatchedEngine
 
 
@@ -58,10 +54,22 @@ def _batched_run(
     return machine
 
 
+#: The runs every horizon decision is checked on: the fault-free
+#: vProbe run, the stall-fault run (the sizing's stall cap), BRM (a
+#: policy that acts on every tick) and the hardened vProbe.
+RUNS = {
+    "vprobe": {},
+    "stall": {"faults": FaultPlan(stall_rate=0.05, stall_epochs=5)},
+    "brm": {"scheduler": "brm"},
+    "vprobe-h": {"scheduler": "vprobe-h"},
+}
+
+
 class TestHorizonInvariants:
     """Structural checks on every horizon decision of a real run."""
 
-    def test_every_horizon_respects_event_boundaries(self, monkeypatch):
+    @pytest.mark.parametrize("run", list(RUNS))
+    def test_every_horizon_respects_event_boundaries(self, monkeypatch, run):
         decisions = []
 
         def check(engine, e0, now, kb):
@@ -70,18 +78,11 @@ class TestHorizonInvariants:
             eps = machine._epochs_per_sample
             ept = machine._epochs_per_tick
             assert kb >= 1
-            # Fused or not, a horizon never crosses a sampling boundary
-            # (vProbe's partitioning pass runs there).
+            # A horizon never crosses a Credit tick or a sampling
+            # boundary (vProbe's partitioning pass runs there).
+            assert kb <= ept - (e0 % ept)
             assert kb <= eps - (e0 % eps)
             if kb > 1:
-                plan = engine._fuse_plan or []
-                # Every Credit tick interior to the batch must have been
-                # proven quiescent and planned for replay; ticks outside
-                # the plan must not exist.
-                interior_ticks = {
-                    j for j in range(1, kb) if (e0 + j) % ept == 0
-                }
-                assert {entry[0] for entry in plan} == interior_ticks
                 # Burst expiries are inclusive: an incumbent's budget may
                 # reach zero only on the batch-final epoch.  Replay the
                 # exact subtraction chain the progress pass performs.
@@ -112,67 +113,14 @@ class TestHorizonInvariants:
                     assert phase > t
             decisions.append(kb)
 
-        _batched_run(monkeypatch, check)
+        _batched_run(monkeypatch, check, **RUNS[run])
         assert decisions and max(decisions) > 1
 
-    def test_fused_ticks_engage_on_loaded_scenario(self):
-        machine = _batched_run()
-        stats = machine._engine.horizon_stats()
-        assert stats["fused_ticks"] > 0
-        assert stats["batches"] < stats["epochs"]
-
-    def test_classic_sizing_never_crosses_a_tick(self, monkeypatch):
-        """Classic sizing (kept while stalls are pending) stops at ticks."""
-
-        def check(engine, e0, now, kb):
-            ept = engine.machine._epochs_per_tick
-            assert kb <= ept - (e0 % ept)
-            assert engine._fuse_plan is None
-
-        machine = _batched_run(
-            monkeypatch,
-            check,
-            faults=FaultPlan(stall_rate=0.05, stall_epochs=5),
-        )
-        assert machine._engine.horizon_stats()["fused_ticks"] == 0
-
-
-class TestQuiescenceRefusals:
-    """Conservative-False paths of the tick-quiescence contract."""
-
-    def test_policy_contract_defaults(self):
-        assert not SchedulerPolicy().tick_is_quiescent(7)
-        assert CreditScheduler().tick_is_quiescent(7)
-        assert vprobe().tick_is_quiescent(7)
-        assert not BRMScheduler().tick_is_quiescent(7)
-
-    def test_hardened_vprobe_refuses_every_tick(self, monkeypatch):
-        hardened = vprobe_hardened()
-        assert all(not hardened.tick_is_quiescent(i) for i in range(32))
-
-        # End to end: the hardened policy's horizons stop at every tick,
-        # exactly like the classic sizing.
-        def check(engine, e0, now, kb):
-            ept = engine.machine._epochs_per_tick
-            assert kb <= ept - (e0 % ept)
-
-        machine = _batched_run(monkeypatch, check, scheduler="vprobe-h")
-        assert machine._engine.horizon_stats()["fused_ticks"] == 0
-
-    def test_pending_stalls_disable_fusion(self, monkeypatch):
-        """stall_rate > 0 keeps the classic stall-capped sizing."""
-
-        def check(engine, e0, now, kb):
-            assert engine._fuse_plan is None
-
-        machine = _batched_run(
-            monkeypatch,
-            check,
-            faults=FaultPlan(stall_rate=0.05, stall_epochs=5),
-        )
-        stats = machine._engine.horizon_stats()
-        assert stats["fused_ticks"] == 0
-        assert stats["fused_repicks"] == 0
+    def test_busy_machine_batches_all_take_the_fused_replay(self):
+        """With every PCPU busy, no batch falls back to the generic replay."""
+        stats = _batched_run()._engine.horizon_stats()
+        assert stats["batches"] > 0
+        assert stats["replay_native"] + stats["replay_python"] == stats["batches"]
 
 
 def _summary(**cfg_kw):
@@ -196,7 +144,7 @@ class TestReplayPathParity:
         assert stats["replay_native"] + stats["replay_python"] > 0
 
         def generic(self, now, epoch, kb, *_gather_and_running_set):
-            return self._advance_replay(now, epoch, kb, None)
+            return self._advance_replay(now, epoch, kb)
 
         monkeypatch.setattr(BatchedEngine, "_advance_replay_fused", generic)
         generic_only = _summary(engine="batched", faults=plan)
